@@ -13,7 +13,7 @@ negated); internally literal l of variable v is 2*v (positive) or 2*v+1.
 from __future__ import annotations
 
 import time
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 
 
 TRUE = 1
@@ -117,8 +117,8 @@ class Solver:
         cl = sorted({self._intern(l) for l in lits})
         out = []
         for ilit in cl:
-            if ilit ^ 1 in out:
-                return True  # tautology
+            if out and out[-1] == ilit ^ 1:
+                return True  # tautology: complements sort next to each other
             val = self._lit_value(ilit)
             if val == TRUE:
                 return True  # already satisfied at level 0
@@ -166,6 +166,15 @@ class Solver:
         del self.trail[limit:]
         del self.trail_lim[target:]
         self.qhead = len(self.trail)
+        if len(self.heap) > 2 * self.nvars:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        # one current entry per unassigned variable; drops the duplicates
+        # and stale entries that pushes on every unassignment leave behind
+        self.heap = [(-self.activity[v], v) for v in range(self.nvars)
+                     if self.assign[v] == UNDEF]
+        heapify(self.heap)
 
     # ------------------------------------------------------------------
     # propagation
@@ -238,6 +247,8 @@ class Solver:
             for u in range(self.nvars):
                 self.activity[u] *= 1e-100
             self.var_inc *= 1e-100
+            # every queued entry now carries an outdated activity
+            self._rebuild_heap()
 
     def _bump_clause(self, clause: list[int]) -> None:
         cid = id(clause)

@@ -50,7 +50,6 @@ class RunConfig:
     encoding: str = "main"
     budget_s: float | None = None
     format: str = "human"
-    seed: int = 0
     bf_max_points: int = 1_000_000
     bf_max_features: int = 12
     strict: bool = False
@@ -171,15 +170,18 @@ def _one_shot_record(cfg, dl, idx, inst):
     return record
 
 
-def _enum_record(cfg, dl, idx, inst):
-    enc = _encode_for(cfg, dl, inst)
+def _enumerate(mode, enc, deadline):
     session = load_encoding(enc)
+    if mode == "enum-lbx":
+        return enumerate_cxp_lbx(enc, session, deadline=deadline)
+    target = AXP if mode == "enum-marco-axp" else CXP
+    return enumerate_marco(enc, session, target, deadline=deadline)
+
+
+def _enum_record(cfg, dl, idx, inst):
     deadline = _deadline(cfg)
-    if cfg.mode == "enum-lbx":
-        report = enumerate_cxp_lbx(enc, session, deadline=deadline)
-    else:
-        target = AXP if cfg.mode == "enum-marco-axp" else CXP
-        report = enumerate_marco(enc, session, target, deadline=deadline)
+    enc = _encode_for(cfg, dl, inst)
+    report = _enumerate(cfg.mode, enc, deadline)
     record = {
         "instance": idx,
         "point": [dl.space.domains[j][v] for j, v in enumerate(inst.point)],
@@ -250,7 +252,7 @@ def cmd_encode(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     dl, instances = _load(cfg)
     bounds = dict(max_points=cfg.bf_max_points, max_features=cfg.bf_max_features)
-    failures = 0
+    failures = budget_runs = 0
     for idx, inst in enumerate(instances):
         try:
             expected_x = bf_all_axps(dl, inst, **bounds)
@@ -259,27 +261,35 @@ def cmd_verify(cfg: RunConfig) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         enc = encode_explanation_query(dl, inst)
-        deadline = _deadline(cfg)
         results = {}
-        report = enumerate_marco(enc, load_encoding(enc), AXP, deadline=deadline)
-        results["marco-axp"] = (set(report.axps), set(report.cxps))
-        report = enumerate_marco(enc, load_encoding(enc), CXP, deadline=deadline)
-        results["marco-cxp"] = (set(report.axps), set(report.cxps))
-        report = enumerate_cxp_lbx(enc, load_encoding(enc), deadline=deadline)
-        results["lbx"] = (None, set(report.cxps))
+        incomplete = []
+        for mode in ("enum-marco-axp", "enum-marco-cxp", "enum-lbx"):
+            report = _enumerate(mode, enc, _deadline(cfg))
+            axps = None if mode == "enum-lbx" else set(report.axps)
+            results[report.mode] = (axps, set(report.cxps))
+            if not report.complete:
+                incomplete.append(report.mode)
 
         ok = check_duality(ExplanationSets(expected_x, expected_y))
         problems = [] if ok else ["duality violated on brute-force sets"]
         for mode, (axps, cxps) in results.items():
-            if axps is not None and axps != set(expected_x):
+            # a run cut short by the budget must still report only true
+            # explanations, but may miss some
+            agree = set.issubset if mode in incomplete else set.__eq__
+            if axps is not None and not agree(axps, set(expected_x)):
                 problems.append(f"{mode} axps diverge")
-            if cxps != set(expected_y):
+            if not agree(cxps, set(expected_y)):
                 problems.append(f"{mode} cxps diverge")
+        status = "mismatch" if problems else \
+            "incomplete" if incomplete else "ok"
         record = {
             "instance": idx,
             "point": [dl.space.domains[j][v] for j, v in enumerate(inst.point)],
-            "status": "ok" if not problems else "mismatch",
+            "status": status,
         }
+        if incomplete:
+            record["incomplete"] = incomplete
+            budget_runs += 1
         if problems:
             failures += 1
             record["problems"] = problems
@@ -293,7 +303,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 for mode, (axps, cxps) in results.items()
             }
         _emit(record, cfg)
-    return 1 if failures else 0
+    return 1 if failures else 3 if budget_runs else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="human")
         p.add_argument("--budget-s", type=float, default=None,
                        help="per-instance time budget in seconds")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--timing", action="store_true",
                        help="add wall-clock fields to the output")
 
@@ -348,7 +357,6 @@ def main(argv: list[str] | None = None) -> int:
         instances=args.instances,
         format=args.format,
         budget_s=args.budget_s,
-        seed=args.seed,
         timing=args.timing,
         mode=getattr(args, "mode", "enum-marco-axp"),
         encoding=getattr(args, "encoding", "main"),

@@ -1,12 +1,12 @@
 """Complete explanation enumeration.
 
 Two interconnected oracles drive the main enumerator: a SAT oracle over the
-explanation query and a minimum hitting-set oracle over the explanations of
-the dual kind found so far.  Each round either confirms the hitting set as
-a new target explanation (already minimal thanks to the hitting-set
-minimality guarantee) or extracts a fresh dual explanation from the
-counterexample.  A plain blocking-clause loop over the single-CXp engine is
-provided as well.
+explanation query and a subset-minimal hitting-set oracle over the
+explanations of the dual kind found so far.  Each round either confirms the
+hitting set as a new target explanation (already minimal, since every
+proper subset misses a known dual explanation) or extracts a fresh dual
+explanation from the counterexample.  A plain blocking-clause loop over the
+single-CXp engine is provided as well.
 """
 
 from __future__ import annotations
@@ -20,54 +20,22 @@ from .explain import ContractError, NoCxpExists, one_cxp, reduce_dual
 from .oracle import OracleSession, OracleTimeout
 
 
-class Exhausted(Exception):
-    """Internal marker: the hitting-set oracle has no unblocked solution."""
-
-
-def _totalizer(session: OracleSession, lits: list[int]) -> list[int]:
-    """Output variables o[0..n-1] with o[i] forced true whenever at least
-    i+1 of the input literals are true (counting direction only)."""
-    if not lits:
-        return []
-    if len(lits) == 1:
-        return [lits[0]]
-    half = len(lits) // 2
-    left = _totalizer(session, lits[:half])
-    right = _totalizer(session, lits[half:])
-    out = [session.new_var() for _ in range(len(left) + len(right))]
-    for a in range(len(left) + 1):
-        for b in range(len(right) + 1):
-            if a + b == 0:
-                continue
-            clause = [out[a + b - 1]]
-            if a:
-                clause.append(-left[a - 1])
-            if b:
-                clause.append(-right[b - 1])
-            session.add_clause(clause)
-    return out
-
-
 class HittingSetOracle:
-    """Minimum-cardinality hitting sets over a growing set family.
+    """Subset-minimal hitting sets over a growing set family.
 
-    Implemented as iterative SAT on a private session: one variable per
-    universe element, sets-to-hit as positive clauses, blocked solutions as
-    negative clauses, and a totalizer whose outputs tighten the cardinality
-    bound through assumptions.  Ties between minimum-size solutions break
-    lexicographically on sorted element lists.
+    Each answer comes from one SAT call on a private session: one variable
+    per universe element, sets-to-hit as positive clauses, blocked solutions
+    as negative clauses, and every element's phase set to false.  A greedy
+    pass then drops, in ascending order, every element that no set needs.
+    The answer is a subset of a model of the blocking clauses, so it is
+    never a superset of a blocked set.
     """
 
     def __init__(self, universe):
         self.universe = sorted(universe)
         self.session = OracleSession()
         self.elem_var = {e: self.session.new_var() for e in self.universe}
-        self.outputs = _totalizer(
-            self.session, [self.elem_var[e] for e in self.universe]
-        )
         self.sets_to_hit: list[frozenset] = []
-        self.blocked: list[frozenset] = []
-        self._lower_bound = 0
 
     def add_set(self, s) -> None:
         """Register a new set that every future answer must intersect."""
@@ -81,47 +49,20 @@ class HittingSetOracle:
 
     def block(self, s) -> None:
         """Never again emit `s` or any superset of it."""
-        s = frozenset(s)
-        self.blocked.append(s)
         self.session.add_clause([-self.elem_var[e] for e in sorted(s)])
 
-    def _bound(self, k: int) -> list[int]:
-        # assumptions enforcing |solution| <= k
-        if k >= len(self.outputs):
-            return []
-        return [-self.outputs[k]]
-
     def next(self, deadline: float | None = None) -> frozenset | None:
-        """A minimum-cardinality unblocked hitting set, or None."""
-        res = self.session.solve(self._bound(len(self.universe)), deadline=deadline)
+        """A subset-minimal unblocked hitting set, or None."""
+        for var in self.elem_var.values():
+            self.session.set_phase(var, False)
+        res = self.session.solve(deadline=deadline)
         if not res.sat:
             return None
-        size = sum(res.lit_true(self.elem_var[e]) for e in self.universe)
-        while size > self._lower_bound:
-            res = self.session.solve(self._bound(size - 1), deadline=deadline)
-            if not res.sat:
-                break
-            size = sum(res.lit_true(self.elem_var[e]) for e in self.universe)
-        self._lower_bound = size
-
-        # lexicographically smallest solution of the minimum size
-        bound = self._bound(size)
-        fixed: list[int] = []
-        banned: list[int] = []
-        for e in self.universe:
-            if len(fixed) == size:
-                break
-            assumps = (
-                bound
-                + [self.elem_var[f] for f in fixed]
-                + [-self.elem_var[b] for b in banned]
-                + [self.elem_var[e]]
-            )
-            if self.session.solve(assumps, deadline=deadline).sat:
-                fixed.append(e)
-            else:
-                banned.append(e)
-        return frozenset(fixed)
+        answer = {e for e in self.universe if res.lit_true(self.elem_var[e])}
+        for e in sorted(answer):
+            if all(len(s & answer) > 1 for s in self.sets_to_hit if e in s):
+                answer.remove(e)
+        return frozenset(answer)
 
 
 def _sort_key(s: frozenset):
@@ -158,18 +99,6 @@ class ExplanationReport:
         return {"axps": avg(self.axps), "cxps": avg(self.cxps)}
 
 
-def _unit_mcs_bootstrap(enc, session, deadline):
-    """Exhaustively test every single soft literal's removal; the found
-    unit correction sets seed the hitting-set oracle."""
-    softs = list(enc.soft)
-    units = []
-    for j in range(len(softs)):
-        rest = softs[:j] + softs[j + 1:]
-        if session.solve(rest, deadline=deadline).sat:
-            units.append(frozenset([j]))
-    return units
-
-
 def enumerate_marco(
     enc: Encoding,
     session: OracleSession,
@@ -193,13 +122,6 @@ def enumerate_marco(
     cxps: list[frozenset] = []
 
     try:
-        for unit in _unit_mcs_bootstrap(enc, session, deadline):
-            cxps.append(unit)
-            if target == AXP:
-                mhs.add_set(unit)
-            else:
-                mhs.block(unit)
-
         while True:
             h = mhs.next(deadline=deadline)
             if h is None:
@@ -252,8 +174,8 @@ def enumerate_cxp_lbx(
     deadline: float | None = None,
 ) -> ExplanationReport:
     """All CXps by repeated single-CXp extraction; each one is blocked with
-    one clause under this instance's selector, which is switched off at the
-    end so the session can serve other instances."""
+    one clause under a fresh selector, which is retired at the end so the
+    session can serve other instances."""
     start = time.monotonic()
     calls0 = session.stats.calls
     report = ExplanationReport(enc.instance.point, enc.pred_class, "lbx")
@@ -273,7 +195,7 @@ def enumerate_cxp_lbx(
     except OracleTimeout:
         report.complete = False
     finally:
-        session.set_selector(selector, False)
+        session.retire_selector(selector)
 
     report.cxps = cxps
     report.wall_time = time.monotonic() - start

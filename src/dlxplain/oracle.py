@@ -8,6 +8,7 @@ single-owner: one engine at a time; independent sessions run in parallel.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .cdcl import BudgetExceeded, Solver
@@ -107,8 +108,12 @@ class OracleSession:
 
         On UNSAT the result carries a core: a subset of the assumptions
         sufficient for unsatisfiability (not necessarily minimal; selector
-        literals are filtered out).
+        literals are filtered out).  Raises OracleTimeout at entry once the
+        deadline has passed, since the solver itself only checks it on a
+        conflict or every 1024 decisions.
         """
+        if deadline is not None and time.monotonic() > deadline:
+            raise OracleTimeout("deadline exceeded")
         sel_assumps = [
             (sel if on else -sel) for sel, on in self.selectors.items()
         ]

@@ -179,6 +179,39 @@ def test_tautology_and_duplicate_literals():
     assert sat and model[2]
 
 
+def test_models_survive_activity_rescale():
+    # var_inc starts just under the 1e100 threshold, so early conflicts
+    # rescale every activity while unassigned variables sit in the heap
+    sat_count = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        clauses = [[rng.choice((-1, 1)) * v for v in rng.sample(range(1, 31), 3)]
+                   for _ in range(120)]
+        s = make_solver(clauses)
+        s.var_inc = 1e99
+        sat, model, _ = s.solve()
+        if sat:
+            sat_count += 1
+            assert all(
+                any(model[abs(l)] == (l > 0) for l in cl) for cl in clauses
+            ), seed
+    assert sat_count > 200
+
+
+def test_branching_heap_stays_bounded():
+    # a sequence of mostly-UNSAT calls on a near-threshold 3-SAT formula;
+    # every backtrack re-queues the variables it unassigns
+    rng = random.Random(5)
+    n = 40
+    s = make_solver(
+        [[rng.choice((-1, 1)) * v for v in rng.sample(range(1, n + 1), 3)]
+         for _ in range(160)])
+    for _ in range(30):
+        assumps = [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), 3)]
+        s.solve(assumps)
+        assert len(s.heap) <= 2 * s.nvars
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_hypothesis_random_formulas(data):

@@ -278,6 +278,44 @@ def test_verify_detects_corrupted_enumerator(mhs_files, capsys, monkeypatch):
     assert any("expected_axps" in r for r in recs)
 
 
+def test_verify_budget_exhaustion_is_incomplete(mhs_files, capsys):
+    model, insts = mhs_files
+    code, out, _ = run(
+        capsys, "verify", "--model", model, "--instances", insts,
+        "--budget-s", "0.000001", "--format", "json-lines",
+    )
+    assert code == 3
+    recs = jlines(out)
+    assert len(recs) == 2
+    for r in recs:
+        assert r["status"] == "incomplete" and "problems" not in r
+        assert r["incomplete"] == ["marco-axp", "marco-cxp", "lbx"]
+
+
+def test_verify_flags_wrong_answers_of_incomplete_runs(mhs_files, capsys,
+                                                       monkeypatch):
+    # a run cut short may miss explanations, but not report false ones
+    import dlxplain.cli as cli_mod
+    real = cli_mod.enumerate_marco
+
+    def bogus(enc, session, target, deadline=None):
+        rep = real(enc, session, target, deadline=deadline)
+        rep.complete = False
+        rep.axps = rep.axps + [frozenset(range(5))]
+        return rep
+
+    monkeypatch.setattr(cli_mod, "enumerate_marco", bogus)
+    model, insts = mhs_files
+    code, out, _ = run(
+        capsys, "verify", "--model", model, "--instances", insts,
+        "--format", "json-lines",
+    )
+    assert code == 1
+    recs = jlines(out)
+    assert all(r["status"] == "mismatch" for r in recs)
+    assert all("marco-axp axps diverge" in r["problems"] for r in recs)
+
+
 def test_explain_budget_strict_exit_3(mhs_files, capsys):
     model, insts = mhs_files
     code, out, _ = run(

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlxplain import (
     ExplanationSets,
@@ -58,29 +61,71 @@ def test_mhs_rejects_empty_set():
         mhs.add_set(set())
 
 
-def test_mhs_minimum_cardinality_and_lex_ties():
-    mhs = HittingSetOracle(range(4))
-    mhs.add_set({0, 1})
-    mhs.add_set({2, 3})
-    got = mhs.next()
-    assert got == frozenset({0, 2})  # smallest of the four minimum solutions
-    mhs.block(got)
-    assert mhs.next() == frozenset({0, 3})
+def _minimal_transversals(universe, sets):
+    """Brute force: the subset-minimal subsets of `universe` that meet
+    every set."""
+    hitting = [
+        frozenset(c)
+        for r in range(len(universe) + 1)
+        for c in itertools.combinations(universe, r)
+        if all(s & set(c) for s in sets)
+    ]
+    return {h for h in hitting if not any(g < h for g in hitting)}
 
 
-def test_mhs_blocked_supersets_never_reappear():
-    mhs = HittingSetOracle(range(3))
-    mhs.add_set({0, 1, 2})
-    seen = []
+def _drain(mhs, sets):
+    """Call next/block until exhaustion, checking each answer: it hits every
+    set, is subset-minimal and contains no blocked (earlier) answer."""
+    answers = []
     while True:
         h = mhs.next()
         if h is None:
-            break
-        for prev in seen:
-            assert not (prev <= h)
-        seen.append(h)
+            return answers
+        assert all(h & s for s in sets)
+        for e in h:
+            assert not all((h - {e}) & s for s in sets), (h, e)
+        assert not any(prev <= h for prev in answers)
+        answers.append(h)
         mhs.block(h)
-    assert seen == [frozenset({0}), frozenset({1}), frozenset({2})]
+
+
+def test_mhs_answers_are_minimal_hitting_sets():
+    sets = [frozenset({0, 1}), frozenset({2, 3})]
+    mhs = HittingSetOracle(range(4))
+    for s in sets:
+        mhs.add_set(s)
+    answers = _drain(mhs, sets)
+    assert set(answers) == _minimal_transversals(range(4), sets)
+
+
+def test_mhs_blocked_supersets_never_reappear():
+    sets = [frozenset({0, 1, 2})]
+    mhs = HittingSetOracle(range(3))
+    mhs.add_set(sets[0])
+    answers = _drain(mhs, sets)
+    assert sorted(answers, key=sorted) == [
+        frozenset({0}), frozenset({1}), frozenset({2})]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mhs_enumerates_exactly_the_minimal_transversals(data):
+    n = data.draw(st.integers(1, 7), label="universe")
+    sets = data.draw(st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=1), max_size=6),
+        label="sets")
+    mhs = HittingSetOracle(range(n))
+    # sets arrive interleaved with answers, as in the enumerator
+    split = data.draw(st.integers(0, len(sets)), label="split")
+    for s in sets[:split]:
+        mhs.add_set(s)
+    early = mhs.next()
+    assert early is not None
+    assert all(early & s for s in sets[:split])
+    for s in sets[split:]:
+        mhs.add_set(s)
+    answers = _drain(mhs, sets)
+    assert set(answers) == _minimal_transversals(range(n), sets)
 
 
 # ---------------------------------------------------------------------

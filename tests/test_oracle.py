@@ -1,5 +1,7 @@
 """Session contract: selector discipline, assumption cores, statistics."""
 
+import time
+
 import pytest
 
 from dlxplain import encode_explanation_query
@@ -89,3 +91,12 @@ def test_timeout_is_explicit():
     with pytest.raises(OracleTimeout):
         ses.solve([], conflict_budget=3)
     assert not ses.solve([]).sat  # afterwards the session still answers
+
+
+def test_expired_deadline_raises_even_without_search():
+    # a conflict-free call never reaches the solver's own clock checks
+    ses = OracleSession(3)
+    ses.add_clause([1, 2, 3])
+    with pytest.raises(OracleTimeout):
+        ses.solve([], deadline=time.monotonic() - 1)
+    assert ses.solve([], deadline=time.monotonic() + 60).sat
