@@ -9,6 +9,7 @@ only added under --timing to keep the default output reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -350,8 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: building it
+    costs more than a whole parse."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cfg = RunConfig(
         model=args.model,
         instances=args.instances,

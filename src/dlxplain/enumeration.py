@@ -137,7 +137,7 @@ def enumerate_marco(
                         j for j in range(m) if not res.lit_true(softs[j])
                     )
                     cxp = reduce_dual(enc, session, CXP, falsified,
-                                      deadline=deadline)
+                                      deadline=deadline, known=axps)
                     cxps.append(cxp.features)
                     mhs.add_set(cxp.features)
             else:
@@ -149,7 +149,7 @@ def enumerate_marco(
                 else:
                     core_feats = frozenset(softs.index(l) for l in res.core)
                     axp = reduce_dual(enc, session, AXP, core_feats,
-                                      deadline=deadline)
+                                      deadline=deadline, known=cxps)
                     axps.append(axp.features)
                     if not axp.features:
                         # hard clauses alone are unsatisfiable: the empty

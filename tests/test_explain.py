@@ -1,17 +1,20 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlxplain import (
+    GeneratorParams,
     Instance,
     bf_all_axps,
     bf_all_cxps,
     encode_explanation_query,
+    generate_random_dl,
     one_axp,
     one_axp_quickxplain,
     one_cxp,
     reduce_dual,
 )
 from dlxplain.core import AXP, CXP
-from dlxplain.explain import ContractError, NoCxpExists, SoftState, load_encoding
+from dlxplain.explain import ContractError, NoCxpExists, load_encoding
 
 
 def _session(dl, inst):
@@ -34,9 +37,11 @@ def test_one_axp_mhs_deletion_order(mhs_dl, mhs_instance):
     assert one_axp(enc, ses).features == frozenset({2})
 
 
-def test_one_axp_without_cores(mhs_dl, mhs_instance):
+def test_one_axp_agrees_with_reduce_dual(mhs_dl, mhs_instance):
+    # one deletion loop serves both: over every feature, no known CXps
     enc, ses = _session(mhs_dl, mhs_instance)
-    assert one_axp(enc, ses, use_cores=False).features == frozenset({2})
+    assert one_axp(enc, ses).features == frozenset({2})
+    assert reduce_dual(enc, ses, AXP, range(3)).features == frozenset({2})
 
 
 def test_one_axp_single_default(constant_dl):
@@ -114,6 +119,64 @@ def test_reduce_dual_contract_violation(mhs_dl, mhs_instance):
         reduce_dual(enc, ses, "nope", {0})
 
 
+def test_reduce_dual_known_family(mhs_dl, mhs_instance):
+    enc, ses = _session(mhs_dl, mhs_instance)
+    cxps = bf_all_cxps(mhs_dl, mhs_instance)
+    axps = bf_all_axps(mhs_dl, mhs_instance)
+    calls = []
+    for known in ((), cxps):
+        before = ses.stats.calls
+        got = reduce_dual(enc, ses, AXP, range(5), known=known).features
+        assert got == frozenset({2})
+        calls.append(ses.stats.calls - before)
+    # the step that drops x3 tries the empty set, which misses both CXps
+    assert calls == [3, 2]
+    with pytest.raises(ContractError):
+        reduce_dual(enc, ses, AXP, {0}, known=cxps)
+    with pytest.raises(ContractError):
+        reduce_dual(enc, ses, CXP, {0}, known=axps)
+
+
+def _sorted_family(family):
+    return sorted(family, key=sorted)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_reduce_dual_known_family_only_skips_calls(data):
+    # random small models; K is any subfamily of the true dual family
+    m = data.draw(st.integers(2, 6), label="features")
+    dl = generate_random_dl(GeneratorParams(
+        seed=data.draw(st.integers(0, 10**6), label="seed"),
+        num_features=m,
+        domain_size=data.draw(st.integers(2, 3), label="domain"),
+        num_rules=data.draw(st.integers(1, 12), label="rules"),
+        max_antecedent_len=data.draw(st.integers(1, m), label="length"),
+        num_classes=data.draw(st.integers(2, 3), label="classes"),
+    ))
+    inst = Instance(tuple(
+        data.draw(st.integers(0, dl.space.domain_size(j) - 1), label=f"x{j}")
+        for j in range(m)))
+    axps, cxps = bf_all_axps(dl, inst), bf_all_cxps(dl, inst)
+    kind = data.draw(st.sampled_from((AXP, CXP)), label="kind")
+    family, dual = (axps, cxps) if kind == AXP else (cxps, axps)
+    if not family:
+        return   # no CXp exists, so no valid CXp seed either
+    seed = data.draw(st.sampled_from(_sorted_family(family)), label="member")
+    candidate = seed | data.draw(st.frozensets(st.integers(0, m - 1)),
+                                 label="extra")
+    known = data.draw(st.lists(st.sampled_from(_sorted_family(dual)),
+                               unique=True) if dual else st.just([]),
+                      label="known")
+    enc = encode_explanation_query(dl, inst)
+    plain_ses, guided_ses = load_encoding(enc), load_encoding(enc)
+    plain = reduce_dual(enc, plain_ses, kind, candidate).features
+    guided = reduce_dual(enc, guided_ses, kind, candidate, known=known).features
+    assert plain in family
+    assert guided == plain
+    assert guided_ses.stats.calls <= plain_ses.stats.calls
+
+
 def test_axp_two_oracle_postconditions(dl00, mhs_dl):
     for dl, inst in ((dl00, Instance((0, 1, 1, 0))), (mhs_dl, Instance((2, 0, 1, 2, 0)))):
         enc, ses = _session(dl, inst)
@@ -124,12 +187,3 @@ def test_axp_two_oracle_postconditions(dl00, mhs_dl):
             rest = [enc.soft[i] for i in feats if i != j]
             assert ses.solve(rest).sat
 
-
-def test_soft_state_partition():
-    st = SoftState([11, 12, 13])
-    assert st.features("undecided") == frozenset({0, 1, 2})
-    st.status[0] = "kept"
-    st.status[2] = "dropped"
-    assert st.active() == [11, 12]
-    assert st.active(exclude=1) == [11]
-    assert st.features("kept") == frozenset({0})
