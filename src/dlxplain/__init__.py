@@ -46,7 +46,6 @@ from .oracle import OracleSession, OracleTimeout, SolveResult
 from .explain import (
     ContractError,
     NoCxpExists,
-    attach_instance,
     load_encoding,
     one_axp,
     one_axp_quickxplain,

@@ -152,6 +152,8 @@ def _one_shot_record(cfg, dl, idx, inst):
     else:
         enc = _encode_for(cfg, dl, inst)
         record["class"] = dl.space.classes[enc.pred_class]
+        # a fresh session per instance: which explanation a one-shot engine
+        # finds depends on solver state, and must not depend on other rows
         session = load_encoding(enc)
         try:
             if cfg.mode == "one-axp":
@@ -171,18 +173,27 @@ def _one_shot_record(cfg, dl, idx, inst):
     return record
 
 
-def _enumerate(mode, enc, deadline):
-    session = load_encoding(enc)
+def _session_for(sessions: dict, enc):
+    """The session of enc's predicted class, loaded on first use.  One
+    command keeps one such dict, so it loads each class's hard clauses
+    once.  An enumeration's output is a sorted set, so the runs of other
+    instances on the same session cannot change it."""
+    if enc.pred_class not in sessions:
+        sessions[enc.pred_class] = load_encoding(enc)
+    return sessions[enc.pred_class]
+
+
+def _enumerate(mode, enc, session, deadline):
     if mode == "enum-lbx":
         return enumerate_cxp_lbx(enc, session, deadline=deadline)
     target = AXP if mode == "enum-marco-axp" else CXP
     return enumerate_marco(enc, session, target, deadline=deadline)
 
 
-def _enum_record(cfg, dl, idx, inst):
+def _enum_record(cfg, dl, idx, inst, sessions):
     deadline = _deadline(cfg)
     enc = _encode_for(cfg, dl, inst)
-    report = _enumerate(cfg.mode, enc, deadline)
+    report = _enumerate(cfg.mode, enc, _session_for(sessions, enc), deadline)
     record = {
         "instance": idx,
         "point": [dl.space.domains[j][v] for j, v in enumerate(inst.point)],
@@ -205,12 +216,13 @@ def cmd_explain(cfg: RunConfig) -> int:
               file=sys.stderr)
         return 2
     all_complete = True
+    sessions = {}
     for idx, inst in enumerate(instances):
         if cfg.mode in ONE_SHOT_MODES:
             record = _one_shot_record(cfg, dl, idx, inst)
             complete = "incomplete" not in record
         else:
-            record, complete = _enum_record(cfg, dl, idx, inst)
+            record, complete = _enum_record(cfg, dl, idx, inst, sessions)
         all_complete &= complete
         _emit(record, cfg)
     if not all_complete and cfg.strict:
@@ -254,6 +266,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     dl, instances = _load(cfg)
     bounds = dict(max_points=cfg.bf_max_points, max_features=cfg.bf_max_features)
     failures = budget_runs = 0
+    sessions = {}
     for idx, inst in enumerate(instances):
         try:
             expected_x = bf_all_axps(dl, inst, **bounds)
@@ -265,7 +278,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         results = {}
         incomplete = []
         for mode in ("enum-marco-axp", "enum-marco-cxp", "enum-lbx"):
-            report = _enumerate(mode, enc, _deadline(cfg))
+            report = _enumerate(mode, enc, _session_for(sessions, enc),
+                                _deadline(cfg))
             axps = None if mode == "enum-lbx" else set(report.axps)
             results[report.mode] = (axps, set(report.cxps))
             if not report.complete:

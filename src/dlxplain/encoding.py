@@ -7,9 +7,13 @@ soft clauses are the instance literals, one unit per feature.  AXps are
 then MUSes and CXps are MCSes of the pair.
 
 Feature values use one boolean per (feature, value) with an at-least-one
-clause plus pairwise at-most-one clauses; rule antecedents get full
-biconditional (Tseitin) definitions because the query uses them in both
-polarities.
+clause plus pairwise at-most-one clauses.  The explanation query only needs
+"every rule of class c that holds has an earlier rule of another class
+that holds", so it is polarity-reduced (Plaisted & Greenbaum, JSC 1986):
+other-class rules occur only positively and get the one direction
+t -> antecedent, same-class rules get no variable at all, and inconsistent
+rules drop out.  The hard clauses depend only on the predicted class.  The
+sequential and DL-SAT encodings keep full biconditional definitions.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ class VarMap:
     """Roles of the propositional variables, allocated contiguously from 1.
 
     b[(j, v)]  feature j takes value v
-    t[k]       antecedent of rule k holds (main/dlsat encodings)
+    t[k]       antecedent of rule k holds (dlsat encoding); in the main
+               encoding only other-class consistent rules get one, and it
+               only implies the antecedent
     s[k]       antecedent of rule k holds (sequential encoding)
     p[k], q[k] "rule k fires the predicted class" / "fired at or before k"
     fire[k]    rule k is the first to fire (dlsat encoding)
@@ -90,9 +96,13 @@ def _literal_var(vm: VarMap, feature: int, equal: bool, value: int) -> int:
     return var if equal else -var
 
 
+def _antecedent_lits(vm: VarMap, rule) -> list[int]:
+    return [_literal_var(vm, l.feature, l.equal, l.value) for l in rule.antecedent]
+
+
 def _define_term(vm: VarMap, var: int, rule, hard: list[list[int]]) -> None:
     """Biconditional var <-> antecedent; an empty antecedent yields a unit."""
-    lits = [_literal_var(vm, l.feature, l.equal, l.value) for l in rule.antecedent]
+    lits = _antecedent_lits(vm, rule)
     for lit in lits:
         hard.append([-var, lit])
     hard.append([var] + [-lit for lit in lits])
@@ -110,21 +120,28 @@ def _rule_definitions(
 
 def encode_explanation_query(dl: DecisionList, inst: Instance) -> Encoding:
     """Hard clauses forbidding every same-class rule from firing first,
-    soft units pinning the instance; hard AND soft is unsatisfiable."""
+    soft units pinning the instance; hard AND soft is unsatisfiable.
+
+    t[k] exists only for consistent rules of another class and implies
+    their antecedent.  A consistent same-class rule becomes the one clause
+    "its antecedent fails, or an earlier other-class rule holds"."""
     c, firing = classify(dl, inst.point)
     vm = VarMap()
     _alloc_feature_vars(dl, vm)
     for k in range(dl.num_rules):
-        vm.t[k] = vm.new_var()
+        if dl.consistent[k] and dl.rules[k].prediction != c:
+            vm.t[k] = vm.new_var()
 
     hard = _exactly_one_clauses(dl, vm)
-    _rule_definitions(dl, vm, vm.t, hard)
+    for k, var in vm.t.items():
+        hard.extend([-var, lit] for lit in _antecedent_lits(vm, dl.rules[k]))
     for k in dl.rules_predicting(c):
-        # rule k must not fire: it does not hold, or an earlier rule holds
-        hard.append([-vm.t[k]] + [vm.t[j] for j in range(k)])
+        if dl.consistent[k]:
+            hard.append([-lit for lit in _antecedent_lits(vm, dl.rules[k])]
+                        + [var for j, var in vm.t.items() if j < k])
     if dl.default.prediction == c:
-        # the default must not fire: some non-default rule must hold
-        hard.append([vm.t[k] for k in range(dl.num_rules)])
+        # the default must not fire: some other-class rule must hold
+        hard.append(list(vm.t.values()))
 
     soft = [vm.b[(j, v)] for j, v in enumerate(inst.point)]
     return Encoding(vm, hard, soft, dl, inst, c, firing, "main")

@@ -27,38 +27,16 @@ class ContractError(ValueError):
     """A candidate handed to reduce_dual violates its precondition."""
 
 
-def load_encoding(
-    enc: Encoding,
-    session: OracleSession | None = None,
-    selector: int | None = None,
-) -> OracleSession:
-    """Load the hard clauses into a session (fresh one by default).
+def load_encoding(enc: Encoding) -> OracleSession:
+    """A fresh session holding the encoding's hard clauses.
 
-    With a selector, clauses join the session guarded and can be switched
-    off later, letting several instances share one session.  Selectors must
-    live above the encoding's variable range.
-    """
-    if session is None:
-        session = OracleSession(enc.varmap.var_count)
-    else:
-        session.ensure_vars(enc.varmap.var_count)
-    if selector is not None and selector <= enc.varmap.var_count:
-        raise ValueError(
-            "selector variable collides with the encoding; allocate it "
-            "after sizing the session (see attach_instance)"
-        )
+    Hard clauses depend only on the model and the predicted class, so the
+    session can serve every instance of that class: the engines pin an
+    instance through assumptions and retire every clause they add."""
+    session = OracleSession(enc.varmap.var_count)
     for cl in enc.hard:
-        session.add_clause(cl, selector=selector)
+        session.add_clause(cl)
     return session
-
-
-def attach_instance(session: OracleSession, enc: Encoding) -> int:
-    """Add an instance's hard clauses to a shared session behind a fresh
-    selector (returned enabled); disable it to shelve the instance."""
-    session.ensure_vars(enc.varmap.var_count)
-    selector = session.new_selector(enabled=True)
-    load_encoding(enc, session=session, selector=selector)
-    return selector
 
 
 def _query(session, softs, kind, feats, deadline):

@@ -59,9 +59,6 @@ class OracleSession:
     def new_var(self) -> int:
         return self.solver.new_var()
 
-    def ensure_vars(self, n: int) -> None:
-        self.solver.ensure_vars(n)
-
     def new_selector(self, enabled: bool = True) -> int:
         """Allocate a fresh selector variable."""
         sel = self.solver.new_var()

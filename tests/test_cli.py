@@ -344,3 +344,73 @@ def test_human_format_no_color_env(mhs_files, capsys, monkeypatch):
     assert code == 0
     assert "\033[" not in out
     assert "class=neg" in out
+
+
+MIXED_ROWS = ["1,1,1,1,1", "0,0,0,0,0", "0,0,1,2,2", "2,1,0,1,0",
+              "1,1,2,0,0", "2,2,1,0,1"]  # neg, pos, neg, pos, neg, neg
+
+
+def _write_rows(tmp_path, name, rows):
+    path = tmp_path / name
+    path.write_text("x1,x2,x3,x4,x5\n" + "".join(r + "\n" for r in rows))
+    return str(path)
+
+
+@pytest.fixture
+def load_counter(monkeypatch):
+    import dlxplain.cli as cli_mod
+    loads = []
+    real = cli_mod.load_encoding
+
+    def counting(enc):
+        loads.append(enc.pred_class)
+        return real(enc)
+
+    monkeypatch.setattr(cli_mod, "load_encoding", counting)
+    return loads
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["explain", "--mode", "enum-lbx"], 2),
+    (["explain", "--mode", "enum-marco-axp"], 2),
+    (["explain", "--mode", "enum-marco-cxp", "--encoding", "alternative"], 2),
+    (["verify"], 2),
+    (["explain", "--mode", "one-cxp"], len(MIXED_ROWS)),
+    (["explain", "--mode", "one-axp"], len(MIXED_ROWS)),
+])
+def test_sessions_load_once_per_class_in_enum_modes(
+        tmp_path, capsys, load_counter, argv, expected):
+    # enumeration modes and verify share one session per predicted class;
+    # one-shot modes load a fresh session per instance
+    model = tmp_path / "model.dl"
+    model.write_text(MHS_MODEL)
+    insts = _write_rows(tmp_path, "insts.csv", MIXED_ROWS)
+    code, _, _ = run(capsys, *argv, "--model", str(model),
+                     "--instances", insts, "--format", "json-lines")
+    assert code == 0
+    assert len(load_counter) == expected
+    assert len(set(load_counter)) == 2
+
+
+@pytest.mark.parametrize("mode", ["enum-lbx", "enum-marco-axp",
+                                  "enum-marco-cxp"])
+@pytest.mark.parametrize("encoding", ["main", "alternative"])
+def test_enum_records_do_not_depend_on_row_order(tmp_path, capsys, mode,
+                                                 encoding):
+    model = tmp_path / "model.dl"
+    model.write_text(MHS_MODEL)
+
+    def records(rows):
+        insts = _write_rows(tmp_path, "insts.csv", rows)
+        code, out, _ = run(capsys, "explain", "--model", str(model),
+                           "--instances", insts, "--mode", mode,
+                           "--encoding", encoding, "--format", "json-lines")
+        assert code == 0
+        # each record's bytes after its "instance" field, by point
+        return {tuple(json.loads(line)["point"]): line.split(", ", 1)[1]
+                for line in out.splitlines()}
+
+    base = records(MIXED_ROWS)
+    assert len(base) == len(MIXED_ROWS)
+    for order in ([5, 4, 3, 2, 1, 0], [3, 0, 5, 1, 4, 2]):
+        assert records([MIXED_ROWS[i] for i in order]) == base

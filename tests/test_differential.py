@@ -5,7 +5,8 @@ The random generators only build consistent antecedents over uniform
 domains; the strategy here also produces inconsistent antecedents, '!='
 literals that together exclude a whole domain, features with a one-value
 domain, multi-class models with any default class, and default-only
-models.
+models.  The enumeration modes run 2-4 instances per model on one session
+per predicted class, as the command line does.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -64,29 +65,38 @@ def decision_lists(draw):
     return DecisionList(space, rules, Rule((), draw(classes)))
 
 
-def _check_engines(enc, axps, cxps):
-    for target in (AXP, CXP):
-        rep = enumerate_marco(enc, load_encoding(enc), target)
-        assert rep.complete
-        assert set(rep.axps) == axps, target
-        assert set(rep.cxps) == cxps, target
-    assert set(enumerate_cxp_lbx(enc, load_encoding(enc)).cxps) == cxps
-    session = load_encoding(enc)
-    assert one_axp(enc, session).features in axps
-    try:
-        assert one_cxp(enc, session).features in cxps
-    except NoCxpExists:
-        assert not cxps
+def _check_engines(encode, dl, insts):
+    """Every enumeration mode on one session per predicted class, shared by
+    all instances and modes; the one-shot engines on a fresh session."""
+    sessions = {}
+    for inst in insts:
+        axps, cxps = set(bf_all_axps(dl, inst)), set(bf_all_cxps(dl, inst))
+        enc = encode(dl, inst)
+        if enc.pred_class not in sessions:
+            sessions[enc.pred_class] = load_encoding(enc)
+        shared = sessions[enc.pred_class]
+        for target in (AXP, CXP):
+            rep = enumerate_marco(enc, shared, target)
+            assert rep.complete
+            assert set(rep.axps) == axps, target
+            assert set(rep.cxps) == cxps, target
+        assert set(enumerate_cxp_lbx(enc, shared).cxps) == cxps
+        session = load_encoding(enc)
+        assert one_axp(enc, session).features in axps
+        try:
+            assert one_cxp(enc, session).features in cxps
+        except NoCxpExists:
+            assert not cxps
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_engines_match_bruteforce_on_arbitrary_shapes(data):
     dl = data.draw(decision_lists(), label="model")
-    inst = Instance(tuple(
-        data.draw(st.integers(0, dl.space.domain_size(j) - 1), label=f"x{j + 1}")
-        for j in range(dl.space.num_features)))
-    axps, cxps = bf_all_axps(dl, inst), bf_all_cxps(dl, inst)
-    _check_engines(encode_explanation_query(dl, inst), axps, cxps)
+    points = st.tuples(*(st.integers(0, dl.space.domain_size(j) - 1)
+                         for j in range(dl.space.num_features)))
+    insts = [Instance(p) for p in data.draw(
+        st.lists(points, min_size=2, max_size=4), label="instances")]
+    _check_engines(encode_explanation_query, dl, insts)
     if len(dl.space.classes) == 2:
-        _check_engines(encode_alternative(dl, inst), axps, cxps)
+        _check_engines(encode_alternative, dl, insts)

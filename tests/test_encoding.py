@@ -27,29 +27,58 @@ def misclassified_points(dl, pred):
     return frozenset(p for p in dl.space.points() if table[p] != pred)
 
 
+def _exactly_one_block(dl, enc):
+    """The at-least-one and pairwise at-most-one clauses of every feature,
+    in the order the encoding emits them."""
+    b = enc.varmap.b
+    out = []
+    for j in range(dl.space.num_features):
+        dom = range(dl.space.domain_size(j))
+        out.append([b[(j, v)] for v in dom])
+        out.extend([-b[(j, u)], -b[(j, w)]] for u in dom for w in dom if u < w)
+    return out
+
+
 def test_dl00_hard_group_structure(dl00, dl00_instance):
     enc = encode_explanation_query(dl00, dl00_instance)
+    assert dl00.space.classes[enc.pred_class] == "f1"
     t = enc.varmap.t
-    # clauses over rule variables only: one per same-class rule + default
-    rule_clauses = [
-        cl for cl in enc.hard
-        if cl and all(abs(l) in set(t.values()) for l in cl)
+    assert sorted(t) == [0, 1, 3, 4]  # the f0 rules; f1 rules get no variable
+
+    def b(feature, value):
+        return enc.varmap.b[(feature - 1, value)]
+
+    eo = _exactly_one_block(dl00, enc)
+    assert enc.hard[:len(eo)] == eo
+    assert enc.hard[len(eo):] == [
+        # f0 rules: t implies the antecedent, one binary clause per literal
+        [-t[0], b(1, 0)], [-t[0], b(3, 0)],
+        [-t[1], b(1, 0)], [-t[1], b(3, 1)], [-t[1], b(4, 0)],
+        [-t[3], b(1, 1)], [-t[3], b(2, 0)], [-t[3], b(3, 0)],
+        [-t[4], b(1, 1)], [-t[4], b(2, 0)], [-t[4], b(3, 1)], [-t[4], b(4, 0)],
+        # f1 rules: antecedent fails, or an earlier f0 rule holds
+        [-b(1, 0), -b(3, 1), -b(4, 1), t[0], t[1]],
+        [-b(1, 1), -b(2, 0), -b(3, 1), -b(4, 1), t[0], t[1], t[3], t[4]],
+        [-b(1, 1), -b(2, 1), t[0], t[1], t[3], t[4]],
+        # the f1 default: some f0 rule holds
+        [t[0], t[1], t[3], t[4]],
     ]
-    expected = [
-        [-t[2], t[0], t[1]],
-        [-t[5], t[0], t[1], t[2], t[3], t[4]],
-        [-t[6], t[0], t[1], t[2], t[3], t[4], t[5]],
-        [t[k] for k in range(7)],
-    ]
-    assert sorted(map(sorted, rule_clauses)) == sorted(map(sorted, expected))
+    assert enc.varmap.var_count == 8 + 4
 
 
 def test_exactly_one_models_are_points(mhs_dl, mhs_instance):
     # models of the exactly-one block project 1:1 onto feature space
     enc = encode_explanation_query(mhs_dl, mhs_instance)
-    num_b = sum(mhs_dl.space.domain_size(j) for j in range(5))
+    b = enc.varmap.b
+    eo = _exactly_one_block(mhs_dl, enc)
+    assert enc.hard[:len(eo)] == eo
+    # the rest is the neg rule over feature variables alone (no earlier
+    # pos rule), the pos rule's definition and the default's clause
+    t1 = enc.varmap.t[1]
+    assert enc.hard[len(eo):] == [
+        [-t1, -b[(2, 1)]], [-b[(0, 1)], -b[(1, 1)]], [t1],
+    ]
     ses = OracleSession(enc.varmap.var_count)
-    eo = [cl for cl in enc.hard if all(abs(l) <= num_b for l in cl)]
     for cl in eo:
         ses.add_clause(cl)
     seen = set()
@@ -59,13 +88,12 @@ def test_exactly_one_models_are_points(mhs_dl, mhs_instance):
             break
         point = []
         for j in range(5):
-            hits = [v for v in range(3) if res.model[enc.varmap.b[(j, v)]]]
+            hits = [v for v in range(3) if res.model[b[(j, v)]]]
             assert len(hits) == 1
             point.append(hits[0])
         seen.add(tuple(point))
         ses.add_clause([
-            -enc.varmap.b[(j, v)] if res.model[enc.varmap.b[(j, v)]]
-            else enc.varmap.b[(j, v)]
+            -b[(j, v)] if res.model[b[(j, v)]] else b[(j, v)]
             for j in range(5) for v in range(3)
         ])
     assert seen == set(mhs_dl.space.points())
@@ -99,17 +127,24 @@ def test_single_default_hard_is_unsat(constant_dl):
     assert hard_model_points(enc) == frozenset()
 
 
-def test_inconsistent_rule_gets_unit(dl00):
+def test_inconsistent_rule_drops_out():
     text = """\
 feature x1 : 0, 1
 classes : a, b
 rule : x1=1 & x1!=1 => b
+rule : x1=0 & x1!=0 => a
+rule : x1=1 => b
 default => a
 """
     dl = parse_model(text)
-    assert dl.consistent == (False,)
+    assert dl.consistent == (False, False, True)
     enc = encode_explanation_query(dl, Instance((0,)))
-    assert [-enc.varmap.t[0]] in enc.hard
+    b0, b1 = enc.varmap.b[(0, 0)], enc.varmap.b[(0, 1)]
+    t2 = enc.varmap.t[2]
+    # neither inconsistent rule gets a variable or a clause
+    assert enc.varmap.t == {2: 3}
+    assert enc.hard == [[b0, b1], [-b0, -b1], [-t2, b1], [t2]]
+    assert hard_model_points(enc) == {(1,)}
 
 
 def test_alternative_matches_main_on_paper_models(

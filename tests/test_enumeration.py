@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +8,10 @@ from dlxplain import (
     ExplanationSets,
     GeneratorParams,
     Instance,
+    bf_all_axps,
     bf_all_cxps,
     check_duality,
+    classify,
     encode_explanation_query,
     enumerate_cxp_lbx,
     enumerate_marco,
@@ -17,8 +20,8 @@ from dlxplain import (
 )
 from dlxplain.core import AXP, CXP
 from dlxplain.enumeration import HittingSetOracle
-from dlxplain.explain import ContractError, attach_instance, load_encoding
-from dlxplain.oracle import OracleSession
+from dlxplain.explain import ContractError, load_encoding
+from dlxplain.oracle import OracleSession, OracleTimeout
 
 
 # ---------------------------------------------------------------------
@@ -207,31 +210,82 @@ def test_report_statistics(mhs_dl, mhs_instance):
     assert rep.instance == mhs_instance.point
 
 
+def _run_on_class_sessions(dl, insts, mode, cut=None):
+    """Enumerate `insts` in order on one session per predicted class, the
+    way the CLI does.  With `cut`, the first instance's run is cut short:
+    its main-oracle calls time out from the `cut`-th on (0: a deadline that
+    has already expired)."""
+    sessions = {}
+    results = []
+    for idx, inst in enumerate(insts):
+        enc = encode_explanation_query(dl, inst)
+        if enc.pred_class not in sessions:
+            sessions[enc.pred_class] = load_encoding(enc)
+        session = sessions[enc.pred_class]
+        deadline = None
+        if cut is not None and idx == 0:
+            if cut == 0:
+                deadline = time.monotonic()
+            else:
+                session.solve = _timeout_after(session.solve, cut)
+        if mode == "lbx":
+            rep = enumerate_cxp_lbx(enc, session, deadline=deadline)
+        else:
+            rep = enumerate_marco(enc, session, mode, deadline=deadline)
+        session.__dict__.pop("solve", None)
+        results.append((rep.complete, set(rep.axps), set(rep.cxps)))
+    return results, len(sessions)
+
+
+def _timeout_after(solve, calls):
+    count = itertools.count()
+
+    def limited(*args, **kwargs):
+        if next(count) >= calls:
+            raise OracleTimeout("cut short")
+        return solve(*args, **kwargs)
+
+    return limited
+
+
 def test_session_reuse_across_instances(mhs_dl):
-    # two instances interleaved on one session: per-instance lbx blocking
-    # clauses sit behind per-instance selectors, so order cannot matter
-    inst_a = Instance((1, 1, 1, 1, 1))
-    inst_b = Instance((0, 0, 0, 0, 0))
-    enc_a = encode_explanation_query(mhs_dl, inst_a)
-    enc_b = encode_explanation_query(mhs_dl, inst_b)
+    # one session per predicted class serves its instances in either order
+    insts = [Instance((1, 1, 1, 1, 1)), Instance((0, 0, 0, 0, 0))]
+    insts += generate_random_instances(mhs_dl, 6, seed=3)
+    for mode in ("lbx", AXP, CXP):
+        forward, classes = _run_on_class_sessions(mhs_dl, insts, mode)
+        backward, _ = _run_on_class_sessions(mhs_dl, insts[::-1], mode)
+        assert classes == 2
+        assert forward == backward[::-1]
+        for inst, (complete, axps, cxps) in zip(insts, forward):
+            assert complete
+            assert cxps == set(bf_all_cxps(mhs_dl, inst))
+            assert mode == "lbx" or axps == set(bf_all_axps(mhs_dl, inst))
 
-    def run(first_a: bool):
-        session = OracleSession()
-        results = {}
-        order = ["a", "b"] if first_a else ["b", "a"]
-        for which in order:
-            enc = enc_a if which == "a" else enc_b
-            sel = attach_instance(session, enc)
-            rep = enumerate_cxp_lbx(enc, session)
-            results[which] = set(rep.cxps)
-            session.set_selector(sel, False)
-        return results
 
-    forward = run(True)
-    backward = run(False)
-    assert forward == backward
-    assert forward["a"] == set(bf_all_cxps(mhs_dl, inst_a))
-    assert forward["b"] == set(bf_all_cxps(mhs_dl, inst_b))
+@pytest.mark.parametrize("mode", ["lbx", AXP, CXP])
+def test_cut_short_run_leaves_class_session_intact(mode):
+    p = GeneratorParams(seed=4, num_features=5, domain_size=3, num_rules=12,
+                        max_antecedent_len=3, num_classes=2)
+    dl = generate_random_dl(p)
+    insts = generate_random_instances(dl, 20, seed=9)
+    cls = classify(dl, insts[0].point)[0]
+    pair = [insts[0],
+            next(i for i in insts[1:] if classify(dl, i.point)[0] == cls)]
+    expected = (True,
+                set() if mode == "lbx" else set(bf_all_axps(dl, pair[1])),
+                set(bf_all_cxps(dl, pair[1])))
+    # cut the first run after every number of calls, from an expired
+    # deadline up to the complete run
+    calls = 0
+    while True:
+        (done, _, _), second = _run_on_class_sessions(
+            dl, pair, mode, cut=calls)[0]
+        assert second == expected
+        if done:
+            break
+        calls += 1
+    assert calls > 2
 
 
 def test_enumeration_respects_deadline():
@@ -240,7 +294,6 @@ def test_enumeration_respects_deadline():
     dl = generate_random_dl(p)
     inst = generate_random_instances(dl, 1, 9)[0]
     enc = encode_explanation_query(dl, inst)
-    import time
     rep = enumerate_marco(enc, load_encoding(enc), AXP,
                           deadline=time.monotonic())  # already expired
     assert not rep.complete
