@@ -48,7 +48,6 @@ from .explain import (
     NoCxpExists,
     load_encoding,
     one_axp,
-    one_axp_quickxplain,
     one_cxp,
     reduce_dual,
 )
@@ -75,7 +74,6 @@ from .bruteforce import (
     bf_dlim,
     bf_dlsat,
     check_duality,
-    explanation_sets,
 )
 from .reductions import (
     CnfFormula,

@@ -135,11 +135,6 @@ def bf_all_cxps(
     return _minimal_sets(m, escapes)
 
 
-def explanation_sets(dl: DecisionList, inst: Instance, **bounds) -> ExplanationSets:
-    return ExplanationSets(bf_all_axps(dl, inst, **bounds),
-                           bf_all_cxps(dl, inst, **bounds))
-
-
 def _is_minimal_hitting_set(hs: frozenset[int], sets) -> bool:
     if any(not (hs & s) for s in sets):
         return False

@@ -35,7 +35,7 @@ def _luby(i: int) -> int:
 
 
 class BudgetExceeded(Exception):
-    """The conflict budget or wall-clock deadline ran out mid-search."""
+    """The wall-clock deadline ran out mid-search."""
 
 
 class Solver:
@@ -414,7 +414,6 @@ class Solver:
     def solve(
         self,
         assumptions: list[int] | None = None,
-        conflict_budget: int | None = None,
         deadline: float | None = None,
     ) -> tuple[bool, list[bool] | None, list[int] | None]:
         """Search under assumptions.
@@ -422,8 +421,7 @@ class Solver:
         Returns (True, model, None) with model[v] the value of 1-based
         variable v, or (False, None, core) with core a subset of the
         assumptions sufficient for unsatisfiability.  Raises BudgetExceeded
-        when the conflict budget or deadline runs out; the solver stays
-        usable afterwards.
+        when the deadline runs out; the solver stays usable afterwards.
         """
         assumptions = list(assumptions or [])
         for lit in assumptions:
@@ -433,7 +431,6 @@ class Solver:
         iassumps = [self._intern(l) for l in assumptions]
         assumed = set(iassumps)
         self._backtrack(0)
-        budget = self.conflicts + conflict_budget if conflict_budget else None
 
         restarts = 0
         limit = 64 * _luby(restarts)
@@ -458,9 +455,6 @@ class Solver:
                     self._enqueue(learnt[0], learnt)
                 self.var_inc *= self.var_decay
                 self.cla_inc *= 1.001
-                if budget is not None and self.conflicts >= budget:
-                    self._backtrack(0)
-                    raise BudgetExceeded("conflict budget exhausted")
                 if deadline is not None and time.monotonic() > deadline:
                     self._backtrack(0)
                     raise BudgetExceeded("deadline exceeded")

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bruteforce import (
@@ -43,23 +42,6 @@ ONE_SHOT_MODES = ("one-axp", "one-cxp", "horn")
 ENUM_MODES = ("enum-lbx", "enum-marco-axp", "enum-marco-cxp")
 
 
-@dataclass
-class RunConfig:
-    model: str
-    instances: str | None = None
-    mode: str = "enum-marco-axp"
-    encoding: str = "main"
-    budget_s: float | None = None
-    format: str = "human"
-    bf_max_points: int = 1_000_000
-    bf_max_features: int = 12
-    strict: bool = False
-    out_dir: str = "."
-    timing: bool = False
-    query: str = "explain"
-    target_class: str | None = None
-
-
 def _use_color(stream) -> bool:
     try:
         istty = stream.isatty()
@@ -72,9 +54,9 @@ def _bold(text: str, stream) -> str:
     return f"\033[1m{text}\033[0m" if _use_color(stream) else text
 
 
-def _emit(record: dict, cfg: RunConfig, out=None) -> None:
+def _emit(record: dict, args: argparse.Namespace, out=None) -> None:
     out = out if out is not None else sys.stdout
-    if cfg.format == "json-lines":
+    if args.format == "json-lines":
         out.write(json.dumps(record, separators=(", ", ": ")) + "\n")
     else:
         parts = []
@@ -87,12 +69,12 @@ def _emit(record: dict, cfg: RunConfig, out=None) -> None:
         out.write("  ".join(parts) + "\n")
 
 
-def _load(cfg: RunConfig) -> tuple[DecisionList, list[Instance]]:
-    dl = parse_model(Path(cfg.model).read_text(encoding="utf-8"))
+def _load(args: argparse.Namespace) -> tuple[DecisionList, list[Instance]]:
+    dl = parse_model(Path(args.model).read_text(encoding="utf-8"))
     instances: list[Instance] = []
-    if cfg.instances:
+    if args.instances:
         instances = parse_instances(
-            Path(cfg.instances).read_text(encoding="utf-8"), dl.space
+            Path(args.instances).read_text(encoding="utf-8"), dl.space
         )
     return dl, instances
 
@@ -101,25 +83,29 @@ def _feature_names(dl: DecisionList, feats) -> list[str]:
     return [dl.space.feature_names[j] for j in sorted(feats)]
 
 
-def _deadline(cfg: RunConfig) -> float | None:
-    return time.monotonic() + cfg.budget_s if cfg.budget_s else None
+def _point(dl: DecisionList, inst: Instance) -> list[str]:
+    return [dl.space.domains[j][v] for j, v in enumerate(inst.point)]
 
 
-def _encode_for(cfg: RunConfig, dl: DecisionList, inst: Instance):
-    if cfg.encoding == "alternative":
+def _deadline(args: argparse.Namespace) -> float | None:
+    return time.monotonic() + args.budget_s if args.budget_s else None
+
+
+def _encode_for(args: argparse.Namespace, dl: DecisionList, inst: Instance):
+    if args.encoding == "alternative":
         return encode_alternative(dl, inst)
     return encode_explanation_query(dl, inst)
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    dl, instances = _load(cfg)
+def cmd_classify(args: argparse.Namespace) -> int:
+    dl, instances = _load(args)
     mismatches = 0
     labelled = 0
     for idx, inst in enumerate(instances):
         cls, rule = classify(dl, inst.point)
         record = {
             "instance": idx,
-            "point": [dl.space.domains[j][v] for j, v in enumerate(inst.point)],
+            "point": _point(dl, inst),
             "class": dl.space.classes[cls],
             "rule": dl.rule_name(rule),
         }
@@ -129,18 +115,17 @@ def cmd_classify(cfg: RunConfig) -> int:
             if inst.label != cls:
                 mismatches += 1
                 record["mismatch"] = True
-        _emit(record, cfg)
+        _emit(record, args)
     if labelled:
-        _emit({"summary": "mismatches", "count": mismatches, "of": labelled}, cfg)
+        _emit({"summary": "mismatches", "count": mismatches, "of": labelled}, args)
     return 0
 
 
-def _one_shot_record(cfg, dl, idx, inst):
-    record = {"instance": idx, "point": [dl.space.domains[j][v]
-                                         for j, v in enumerate(inst.point)]}
+def _one_shot_record(args, dl, idx, inst):
+    record = {"instance": idx, "point": _point(dl, inst)}
     started = time.monotonic()
-    deadline = _deadline(cfg)
-    if cfg.mode == "horn":
+    deadline = _deadline(args)
+    if args.mode == "horn":
         cls, _ = classify(dl, inst.point)
         record["class"] = dl.space.classes[cls]
         try:
@@ -150,13 +135,13 @@ def _one_shot_record(cfg, dl, idx, inst):
         except NotRestricted as exc:
             record["error"] = f"not-restricted: {exc}"
     else:
-        enc = _encode_for(cfg, dl, inst)
+        enc = _encode_for(args, dl, inst)
         record["class"] = dl.space.classes[enc.pred_class]
         # a fresh session per instance: which explanation a one-shot engine
         # finds depends on solver state, and must not depend on other rows
         session = load_encoding(enc)
         try:
-            if cfg.mode == "one-axp":
+            if args.mode == "one-axp":
                 expl = one_axp(enc, session, deadline=deadline)
             else:
                 expl = one_cxp(enc, session, deadline=deadline)
@@ -168,7 +153,7 @@ def _one_shot_record(cfg, dl, idx, inst):
             record["note"] = "no contrastive explanation exists"
         except OracleTimeout:
             record["incomplete"] = True
-    if cfg.timing:
+    if args.timing:
         record["time"] = round(time.monotonic() - started, 3)
     return record
 
@@ -190,13 +175,13 @@ def _enumerate(mode, enc, session, deadline):
     return enumerate_marco(enc, session, target, deadline=deadline)
 
 
-def _enum_record(cfg, dl, idx, inst, sessions):
-    deadline = _deadline(cfg)
-    enc = _encode_for(cfg, dl, inst)
-    report = _enumerate(cfg.mode, enc, _session_for(sessions, enc), deadline)
+def _enum_record(args, dl, idx, inst, sessions):
+    deadline = _deadline(args)
+    enc = _encode_for(args, dl, inst)
+    report = _enumerate(args.mode, enc, _session_for(sessions, enc), deadline)
     record = {
         "instance": idx,
-        "point": [dl.space.domains[j][v] for j, v in enumerate(inst.point)],
+        "point": _point(dl, inst),
         "class": dl.space.classes[enc.pred_class],
         "axps": [_feature_names(dl, x) for x in report.axps],
         "cxps": [_feature_names(dl, y) for y in report.cxps],
@@ -204,50 +189,50 @@ def _enum_record(cfg, dl, idx, inst, sessions):
         "avg_size": report.average_sizes,
         "complete": report.complete,
     }
-    if cfg.timing:
+    if args.timing:
         record["time"] = round(report.wall_time, 3)
     return record, report.complete
 
 
-def cmd_explain(cfg: RunConfig) -> int:
-    dl, instances = _load(cfg)
-    if cfg.encoding == "alternative" and len(dl.space.classes) != 2:
+def cmd_explain(args: argparse.Namespace) -> int:
+    dl, instances = _load(args)
+    if args.encoding == "alternative" and len(dl.space.classes) != 2:
         print("error: the alternative encoding handles binary models only",
               file=sys.stderr)
         return 2
     all_complete = True
     sessions = {}
     for idx, inst in enumerate(instances):
-        if cfg.mode in ONE_SHOT_MODES:
-            record = _one_shot_record(cfg, dl, idx, inst)
+        if args.mode in ONE_SHOT_MODES:
+            record = _one_shot_record(args, dl, idx, inst)
             complete = "incomplete" not in record
         else:
-            record, complete = _enum_record(cfg, dl, idx, inst, sessions)
+            record, complete = _enum_record(args, dl, idx, inst, sessions)
         all_complete &= complete
-        _emit(record, cfg)
-    if not all_complete and cfg.strict:
+        _emit(record, args)
+    if not all_complete and args.strict:
         return 3
     return 0
 
 
-def cmd_encode(cfg: RunConfig) -> int:
-    dl, instances = _load(cfg)
-    out_dir = Path(cfg.out_dir)
+def cmd_encode(args: argparse.Namespace) -> int:
+    dl, instances = _load(args)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.query == "dlsat":
-        if cfg.target_class is None:
+    if args.query == "dlsat":
+        if args.target_class is None:
             print("error: --target-class is required for dlsat", file=sys.stderr)
             return 2
-        target = dl.space.class_index(cfg.target_class)
+        target = dl.space.class_index(args.target_class)
         vm, clauses = encode_dlsat(dl, target)
-        path = out_dir / f"dlsat_{cfg.target_class}.cnf"
+        path = out_dir / f"dlsat_{args.target_class}.cnf"
         path.write_text(dump_dimacs(vm, clauses), encoding="utf-8")
         _emit({"file": path.name, "vars": vm.var_count,
-               "clauses": len(clauses)}, cfg)
+               "clauses": len(clauses)}, args)
         return 0
     for idx, inst in enumerate(instances):
         try:
-            enc = _encode_for(cfg, dl, inst)
+            enc = _encode_for(args, dl, inst)
         except MultiClassUnsupported as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -258,13 +243,14 @@ def cmd_encode(cfg: RunConfig) -> int:
             "vars": enc.varmap.var_count,
             "hard": len(enc.hard),
             "soft": len(enc.soft),
-        }, cfg)
+        }, args)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    dl, instances = _load(cfg)
-    bounds = dict(max_points=cfg.bf_max_points, max_features=cfg.bf_max_features)
+def cmd_verify(args: argparse.Namespace) -> int:
+    dl, instances = _load(args)
+    bounds = dict(max_points=args.bf_max_points,
+                  max_features=args.bf_max_features)
     failures = budget_runs = 0
     sessions = {}
     for idx, inst in enumerate(instances):
@@ -279,7 +265,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         incomplete = []
         for mode in ("enum-marco-axp", "enum-marco-cxp", "enum-lbx"):
             report = _enumerate(mode, enc, _session_for(sessions, enc),
-                                _deadline(cfg))
+                                _deadline(args))
             axps = None if mode == "enum-lbx" else set(report.axps)
             results[report.mode] = (axps, set(report.cxps))
             if not report.complete:
@@ -299,7 +285,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             "incomplete" if incomplete else "ok"
         record = {
             "instance": idx,
-            "point": [dl.space.domains[j][v] for j, v in enumerate(inst.point)],
+            "point": _point(dl, inst),
             "status": status,
         }
         if incomplete:
@@ -317,11 +303,14 @@ def cmd_verify(cfg: RunConfig) -> int:
                 }
                 for mode, (axps, cxps) in results.items()
             }
-        _emit(record, cfg)
+        _emit(record, args)
     return 1 if failures else 3 if budget_runs else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: building it
+    costs more than a whole parse."""
     parser = argparse.ArgumentParser(
         prog="dlxplain",
         description="Rigorous explanations for decision-list classifiers.",
@@ -341,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify instances")
     common(p)
+    p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("explain", help="compute or enumerate explanations")
     common(p)
@@ -349,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoding", choices=("main", "alternative"), default="main")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any instance ran out of budget")
+    p.set_defaults(handler=cmd_explain)
 
     p = sub.add_parser("encode", help="export CNF/WCNF encodings")
     common(p, instances_required=False)
@@ -356,50 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", choices=("explain", "dlsat"), default="explain")
     p.add_argument("--target-class", default=None)
     p.add_argument("--out-dir", default=".")
+    p.set_defaults(handler=cmd_encode)
 
     p = sub.add_parser("verify", help="cross-check enumeration against "
                                       "exhaustive ground truth")
     common(p)
     p.add_argument("--bf-max-points", type=int, default=1_000_000)
     p.add_argument("--bf-max-features", type=int, default=12)
+    p.set_defaults(handler=cmd_verify)
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused: building it
-    costs more than a whole parse."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    cfg = RunConfig(
-        model=args.model,
-        instances=args.instances,
-        format=args.format,
-        budget_s=args.budget_s,
-        timing=args.timing,
-        mode=getattr(args, "mode", "enum-marco-axp"),
-        encoding=getattr(args, "encoding", "main"),
-        strict=getattr(args, "strict", False),
-        out_dir=getattr(args, "out_dir", "."),
-        query=getattr(args, "query", "explain"),
-        target_class=getattr(args, "target_class", None),
-        bf_max_points=getattr(args, "bf_max_points", 1_000_000),
-        bf_max_features=getattr(args, "bf_max_features", 12),
-    )
-    if cfg.budget_s is not None and cfg.budget_s <= 0:
+    args = build_parser().parse_args(argv)
+    if args.budget_s is not None and not args.budget_s > 0:
         print("error: --budget-s must be positive", file=sys.stderr)
         return 2
-    handlers = {
-        "classify": cmd_classify,
-        "explain": cmd_explain,
-        "encode": cmd_encode,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](cfg)
+        return args.handler(args)
     except (ParseError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

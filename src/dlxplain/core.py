@@ -233,15 +233,6 @@ class Explanation:
         if self.kind not in (AXP, CXP):
             raise ValueError(f"unknown explanation kind {self.kind!r}")
 
-    def term(self, space: FeatureSpace, instance: Instance) -> tuple[Literal, ...]:
-        """The literal conjunction the explanation denotes: the kept
-        instance literals for an AXP, the non-released ones for a CXP."""
-        if self.kind == AXP:
-            feats = sorted(self.features)
-        else:
-            feats = [j for j in range(space.num_features) if j not in self.features]
-        return tuple(Literal(j, True, instance.point[j]) for j in feats)
-
 
 def eval_term(term: Iterable[Literal], point: Sequence[int]) -> bool:
     """True iff every literal of the term holds; the empty term holds."""
@@ -266,12 +257,7 @@ def terms_consistent(
     literals a clash may need the whole domain excluded, not a
     complementary literal pair.
     """
-    a, b = tuple(a), tuple(b)
-    joint = a + b
-    for j in {l.feature for l in joint}:
-        if not allowed_values(joint, space, j):
-            return False
-    return True
+    return term_is_consistent((*a, *b), space)
 
 
 def is_self_determining(dl: DecisionList, i: int) -> bool:

@@ -65,12 +65,6 @@ class Encoding:
     dl: DecisionList
     instance: Instance
     pred_class: int
-    firing_rule: int
-    kind: str
-
-    @property
-    def num_features(self) -> int:
-        return self.dl.space.num_features
 
 
 def _alloc_feature_vars(dl: DecisionList, vm: VarMap) -> None:
@@ -125,7 +119,7 @@ def encode_explanation_query(dl: DecisionList, inst: Instance) -> Encoding:
     t[k] exists only for consistent rules of another class and implies
     their antecedent.  A consistent same-class rule becomes the one clause
     "its antecedent fails, or an earlier other-class rule holds"."""
-    c, firing = classify(dl, inst.point)
+    c, _ = classify(dl, inst.point)
     vm = VarMap()
     _alloc_feature_vars(dl, vm)
     for k in range(dl.num_rules):
@@ -144,7 +138,7 @@ def encode_explanation_query(dl: DecisionList, inst: Instance) -> Encoding:
         hard.append(list(vm.t.values()))
 
     soft = [vm.b[(j, v)] for j, v in enumerate(inst.point)]
-    return Encoding(vm, hard, soft, dl, inst, c, firing, "main")
+    return Encoding(vm, hard, soft, dl, inst, c)
 
 
 def _sequential_plan(dl: DecisionList, pred: int):
@@ -174,7 +168,7 @@ def encode_alternative(dl: DecisionList, inst: Instance) -> Encoding:
         raise MultiClassUnsupported(
             f"sequential encoding needs 2 classes, model has {len(dl.space.classes)}"
         )
-    c, firing = classify(dl, inst.point)
+    c, _ = classify(dl, inst.point)
     chain, others, default_included = _sequential_plan(dl, c)
 
     vm = VarMap()
@@ -213,7 +207,7 @@ def encode_alternative(dl: DecisionList, inst: Instance) -> Encoding:
     hard.append([-prev_q])
 
     soft = [vm.b[(j, v)] for j, v in enumerate(inst.point)]
-    return Encoding(vm, hard, soft, dl, inst, c, firing, "alternative")
+    return Encoding(vm, hard, soft, dl, inst, c)
 
 
 def encode_dlsat(dl: DecisionList, target: int) -> tuple[VarMap, list[list[int]]]:

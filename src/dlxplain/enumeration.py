@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .core import AXP, CXP
 from .encoding import Encoding
-from .explain import ContractError, NoCxpExists, one_cxp, reduce_dual
+from .explain import ContractError, NoCxpExists, _query, one_cxp, reduce_dual
 from .oracle import OracleSession, OracleTimeout
 
 
@@ -116,51 +116,38 @@ def enumerate_marco(
     report = ExplanationReport(enc.instance.point, enc.pred_class,
                                f"marco-{target}")
     softs = list(enc.soft)
-    m = len(softs)
-    mhs = HittingSetOracle(range(m))
-    axps: list[frozenset] = []
-    cxps: list[frozenset] = []
+    mhs = HittingSetOracle(range(len(softs)))
+    dual = CXP if target == AXP else AXP
+    found: dict[str, list[frozenset]] = {AXP: [], CXP: []}
 
     try:
         while True:
             h = mhs.next(deadline=deadline)
             if h is None:
                 break
-            if target == AXP:
-                res = session.solve([softs[j] for j in sorted(h)],
-                                    deadline=deadline)
-                if not res.sat:
-                    axps.append(h)  # minimal by hitting-set minimality
-                    mhs.block(h)
-                else:
-                    falsified = frozenset(
-                        j for j in range(m) if not res.lit_true(softs[j])
-                    )
-                    cxp = reduce_dual(enc, session, CXP, falsified,
-                                      deadline=deadline, known=axps)
-                    cxps.append(cxp.features)
-                    mhs.add_set(cxp.features)
+            res = _query(session, softs, target, h, deadline)
+            if res.sat == (target == CXP):
+                found[target].append(h)  # minimal by hitting-set minimality
+                mhs.block(h)
+                continue
+            if res.sat:
+                # the softs this counterexample falsifies seed a CXp
+                seed = {j for j, l in enumerate(softs) if not res.lit_true(l)}
             else:
-                kept = [softs[j] for j in range(m) if j not in h]
-                res = session.solve(kept, deadline=deadline)
-                if res.sat:
-                    cxps.append(h)
-                    mhs.block(h)
-                else:
-                    core_feats = frozenset(softs.index(l) for l in res.core)
-                    axp = reduce_dual(enc, session, AXP, core_feats,
-                                      deadline=deadline, known=cxps)
-                    axps.append(axp.features)
-                    if not axp.features:
-                        # hard clauses alone are unsatisfiable: the empty
-                        # AXp is the only explanation of either kind
-                        break
-                    mhs.add_set(axp.features)
+                seed = {softs.index(l) for l in res.core}
+            expl = reduce_dual(enc, session, dual, seed,
+                               deadline=deadline, known=found[target])
+            found[dual].append(expl.features)
+            if not expl.features:
+                # hard clauses alone are unsatisfiable: the empty AXp is
+                # the only explanation of either kind
+                break
+            mhs.add_set(expl.features)
     except OracleTimeout:
         report.complete = False
 
-    report.axps = axps
-    report.cxps = cxps
+    report.axps = found[AXP]
+    report.cxps = found[CXP]
     report.wall_time = time.monotonic() - start
     report.oracle_calls = (
         session.stats.calls - calls0 + mhs.session.stats.calls
@@ -180,7 +167,7 @@ def enumerate_cxp_lbx(
     calls0 = session.stats.calls
     report = ExplanationReport(enc.instance.point, enc.pred_class, "lbx")
     softs = list(enc.soft)
-    selector = session.new_selector(enabled=True)
+    selector = session.new_selector()
     cxps: list[frozenset] = []
     try:
         while True:

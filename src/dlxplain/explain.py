@@ -86,36 +86,6 @@ def one_axp(
     )
 
 
-def one_axp_quickxplain(
-    enc: Encoding,
-    session: OracleSession,
-    deadline: float | None = None,
-) -> Explanation:
-    """QuickXplain-style divide-and-conquer minimization; returns some
-    subset-minimal AXp, not necessarily the linear search's one."""
-    softs = list(enc.soft)
-
-    def solve(lits) -> bool:
-        return session.solve(lits, deadline=deadline).sat
-
-    def qx(base: list[int], target: list[int], base_changed: bool) -> list[int]:
-        if base_changed and not solve(base):
-            return []
-        if len(target) == 1:
-            return target
-        half = len(target) // 2
-        left, right = target[:half], target[half:]
-        m2 = qx(base + left, right, bool(left))
-        m1 = qx(base + m2, left, bool(m2))
-        return m1 + m2
-
-    if solve(softs):
-        raise ContractError("explanation query is satisfiable with all softs")
-    core = [] if not solve([]) else qx([], softs, False)
-    feats = frozenset(softs.index(l) for l in core)
-    return Explanation(AXP, feats)
-
-
 def one_cxp(
     enc: Encoding,
     session: OracleSession,
@@ -132,7 +102,7 @@ def one_cxp(
     softs = list(enc.soft)
     satisfied = [l for l in softs if res.lit_true(l)]
     falsified = [l for l in softs if not res.lit_true(l)]
-    cld = session.new_selector(enabled=True)
+    cld = session.new_selector()
     try:
         while falsified:
             session.add_clause(list(falsified), selector=cld)

@@ -153,15 +153,17 @@ def parse_instances(text: str, space: FeatureSpace) -> list[Instance]:
     """Read instances from CSV text.
 
     The header names every feature (any order) and may end with a `class`
-    column carrying expected labels.  Values are matched as exact strings
-    against the declared domain value names; no numeric coercion.
+    column carrying expected labels; a feature may itself be named
+    `class`.  Values are matched as exact strings against the declared
+    domain value names; no numeric coercion.
     """
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows:
         return []
     header = [cell.strip() for cell in rows[0]]
-    has_class = bool(header) and header[-1] == "class"
+    has_class = (header.count("class") > space.feature_names.count("class")
+                 and header[-1] == "class")
     feat_cols = header[:-1] if has_class else header
     positions: dict[int, int] = {}
     for col, name in enumerate(feat_cols):

@@ -2,7 +2,7 @@
 
 An OracleSession owns one embedded CDCL solver.  Clauses are append-only;
 a clause registered under a selector variable is stored as (-selector OR
-clause) and is active exactly while the selector is enabled.  Sessions are
+clause) and stays active until the selector is retired.  Sessions are
 single-owner: one engine at a time; independent sessions run in parallel.
 """
 
@@ -28,9 +28,6 @@ class SolveResult:
     model: list[bool] | None = None   # 1-based; model[v] is variable v
     core: list[int] | None = None     # subset of the assumptions
 
-    def __bool__(self) -> bool:
-        return self.sat
-
     def lit_true(self, lit: int) -> bool:
         val = self.model[abs(lit)]
         return val if lit > 0 else not val
@@ -51,7 +48,9 @@ class OracleSession:
     def __init__(self, num_vars: int = 0):
         self.solver = Solver()
         self.solver.ensure_vars(num_vars)
-        self.selectors: dict[int, bool] = {}
+        # active selectors, assumed true in allocation order: the order
+        # fixes the assumption list, and with it the solver's search
+        self.selectors: list[int] = []
         self.stats = SessionStats()
 
     # -- variables ------------------------------------------------------
@@ -59,10 +58,10 @@ class OracleSession:
     def new_var(self) -> int:
         return self.solver.new_var()
 
-    def new_selector(self, enabled: bool = True) -> int:
-        """Allocate a fresh selector variable."""
+    def new_selector(self) -> int:
+        """Allocate a fresh selector variable, active until retired."""
         sel = self.solver.new_var()
-        self.selectors[sel] = enabled
+        self.selectors.append(sel)
         return sel
 
     def set_phase(self, var: int, value: bool) -> None:
@@ -79,27 +78,17 @@ class OracleSession:
             lits.append(-selector)
         self.solver.add_clause(lits)
 
-    def set_selector(self, selector: int, enabled: bool) -> None:
-        """Toggle every clause registered under the selector."""
-        if selector not in self.selectors:
-            raise UnknownSelector(selector)
-        self.selectors[selector] = enabled
-
     def retire_selector(self, selector: int) -> None:
-        """Permanently disable a selector's clauses and stop assuming it;
-        for throwaway clause groups that will never be re-enabled."""
+        """Permanently disable a selector's clauses and stop assuming it."""
         if selector not in self.selectors:
             raise UnknownSelector(selector)
-        del self.selectors[selector]
+        self.selectors.remove(selector)
         self.solver.add_clause([-selector])
 
     # -- solving --------------------------------------------------------
 
     def solve_under_assumptions(
-        self,
-        assumptions=(),
-        deadline: float | None = None,
-        conflict_budget: int | None = None,
+        self, assumptions=(), deadline: float | None = None
     ) -> SolveResult:
         """SAT check of the active clauses under the given literals.
 
@@ -111,17 +100,12 @@ class OracleSession:
         """
         if deadline is not None and time.monotonic() > deadline:
             raise OracleTimeout("deadline exceeded")
-        sel_assumps = [
-            (sel if on else -sel) for sel, on in self.selectors.items()
-        ]
-        full = sel_assumps + list(assumptions)
+        full = [*self.selectors, *assumptions]
         self.stats.calls += 1
         before_c = self.solver.conflicts
         before_p = self.solver.propagations
         try:
-            sat, model, core = self.solver.solve(
-                full, deadline=deadline, conflict_budget=conflict_budget
-            )
+            sat, model, core = self.solver.solve(full, deadline=deadline)
         except BudgetExceeded as exc:
             raise OracleTimeout(str(exc)) from exc
         finally:

@@ -37,7 +37,6 @@ from dlxplain import (
     generate_restricted_dl,
     horn_axp_detailed,
     one_axp,
-    one_axp_quickxplain,
     one_cxp,
     parse_model,
 )
@@ -120,9 +119,6 @@ def corpus():
 
             session = load_encoding(enc)
             case.emitted.append((AXP, one_axp(enc, session).features))
-            case.emitted.append(
-                (AXP, one_axp_quickxplain(enc, session).features)
-            )
             try:
                 case.emitted.append((CXP, one_cxp(enc, session).features))
             except NoCxpExists:

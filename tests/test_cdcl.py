@@ -3,6 +3,7 @@ random small formulas, plus core soundness, determinism and budgets."""
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,7 +83,8 @@ def test_budget_raises_and_solver_survives():
                 clauses.append([-var(p1, h), -var(p2, h)])
     s = make_solver(clauses)
     with pytest.raises(BudgetExceeded):
-        s.solve(conflict_budget=5)
+        s.solve(deadline=time.monotonic())  # runs out at the first conflict
+    assert s.conflicts == 1
     # still usable and eventually correct
     sat, _, _ = s.solve()
     assert not sat

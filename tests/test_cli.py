@@ -327,11 +327,12 @@ def test_explain_budget_strict_exit_3(mhs_files, capsys):
     assert any(r["complete"] is False for r in jlines(out))
 
 
-def test_budget_must_be_positive(mhs_files, capsys):
+@pytest.mark.parametrize("budget", ["-1", "0", "nan"])
+def test_budget_must_be_positive(mhs_files, capsys, budget):
     model, insts = mhs_files
     code, _, err = run(
         capsys, "explain", "--model", model, "--instances", insts,
-        "--budget-s", "-1",
+        "--budget-s", budget,
     )
     assert code == 2 and "positive" in err
 

@@ -233,6 +233,7 @@ def _run_on_class_sessions(dl, insts, mode, cut=None):
         else:
             rep = enumerate_marco(enc, session, mode, deadline=deadline)
         session.__dict__.pop("solve", None)
+        assert not session.selectors  # retired, however the run ended
         results.append((rep.complete, set(rep.axps), set(rep.cxps)))
     return results, len(sessions)
 

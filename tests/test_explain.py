@@ -9,7 +9,6 @@ from dlxplain import (
     encode_explanation_query,
     generate_random_dl,
     one_axp,
-    one_axp_quickxplain,
     one_cxp,
     reduce_dual,
 )
@@ -49,19 +48,6 @@ def test_one_axp_single_default(constant_dl):
     assert one_axp(enc, ses).features == frozenset()
 
 
-def test_quickxplain_results_are_axps(mhs_dl, mhs_instance, dl00, dl00_instance):
-    enc, ses = _session(dl00, dl00_instance)
-    assert one_axp_quickxplain(enc, ses).features == frozenset({2, 3})
-    enc, ses = _session(mhs_dl, mhs_instance)
-    got = one_axp_quickxplain(enc, ses).features
-    assert got in bf_all_axps(mhs_dl, mhs_instance)
-
-
-def test_quickxplain_single_default(constant_dl):
-    enc, ses = _session(constant_dl, Instance((1, 0)))
-    assert one_axp_quickxplain(enc, ses).features == frozenset()
-
-
 def test_one_cxp_mhs(mhs_dl, mhs_instance):
     enc, ses = _session(mhs_dl, mhs_instance)
     expl = one_cxp(enc, ses)
@@ -87,7 +73,9 @@ def test_one_cxp_session_reusable_after_call(mhs_dl, mhs_instance):
     enc, ses = _session(mhs_dl, mhs_instance)
     valid = bf_all_cxps(mhs_dl, mhs_instance)
     assert one_cxp(enc, ses).features in valid
+    assert not ses.selectors
     assert one_cxp(enc, ses).features in valid
+    assert not ses.selectors
     assert one_axp(enc, ses).features == frozenset({2})
 
 

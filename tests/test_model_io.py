@@ -121,6 +121,18 @@ def test_serialize_instances_roundtrip(dl00):
     assert parse_instances(text, dl00.space) == insts
 
 
+@pytest.mark.parametrize("labels", [(None, None), (1, 0)],
+                         ids=["unlabelled", "labelled"])
+def test_serialize_instances_roundtrip_feature_named_class(labels):
+    # a trailing `class` column is a feature here unless it occurs twice
+    dl = parse_model("feature x : a, b\nfeature class : u, v\n"
+                     "classes : c1, c2\nrule : class=u => c1\ndefault => c2\n")
+    insts = [Instance((0, 1), labels[0]), Instance((1, 0), labels[1])]
+    text = serialize_instances(dl.space, insts)
+    assert text.splitlines()[0].count("class") == 1 + (labels[0] is not None)
+    assert parse_instances(text, dl.space) == insts
+
+
 def test_generator_deterministic():
     p = GeneratorParams(seed=1, num_features=4, domain_size=2, num_rules=6,
                         max_antecedent_len=3, num_classes=2)

@@ -1,4 +1,4 @@
-"""Session contract: selector discipline, assumption cores, statistics."""
+"""Session contract: selector lifecycle, assumption cores, statistics."""
 
 import time
 
@@ -19,33 +19,45 @@ def test_add_clause_and_solve():
 
 
 def test_blocking_clause_under_selector_toggles():
+    # a selector's clauses hold until it is retired, then go for good
     ses = OracleSession(2)
     ses.add_clause([1, 2])
-    sel = ses.new_selector(enabled=True)
-    ses.add_clause([-1], selector=sel)  # block models with 1
-    res = ses.solve([1])
-    assert not res.sat
-    ses.set_selector(sel, False)       # previous models reappear
-    assert ses.solve([1]).sat
+    first, second = ses.new_selector(), ses.new_selector()
+    assert ses.selectors == [first, second]      # assumed in this order
+    ses.add_clause([-1], selector=first)         # block models with 1
+    ses.add_clause([-2], selector=second)        # and those with 2
+    assert not ses.solve([]).sat
+    ses.retire_selector(second)
+    assert ses.selectors == [first]
+    res = ses.solve([])
+    assert res.sat and res.lit_true(2)
+    assert not ses.solve([1]).sat                # first's clause still holds
+    ses.retire_selector(first)
+    assert ses.selectors == [] and ses.solve([1]).sat
 
 
 def test_selector_toggle_idempotent_and_unknown():
+    # a retired or never-allocated selector is unknown to the session
     ses = OracleSession(1)
     sel = ses.new_selector()
-    ses.set_selector(sel, False)
-    ses.set_selector(sel, False)
-    ses.set_selector(sel, True)
+    ses.retire_selector(sel)
     assert ses.solve([]).sat
-    with pytest.raises(UnknownSelector):
-        ses.set_selector(991, True)
+    for bad in (sel, 991):                       # retired, never allocated
+        with pytest.raises(UnknownSelector):
+            ses.add_clause([1], selector=bad)
+        with pytest.raises(UnknownSelector):
+            ses.retire_selector(bad)
 
 
 def test_enabling_unused_selector_is_noop():
+    # a selector with no clauses neither blocks models nor leaves a trace
     ses = OracleSession(1)
     ses.add_clause([1])
-    sel = ses.new_selector(enabled=False)
-    ses.set_selector(sel, True)
-    assert ses.solve([]).sat
+    sel = ses.new_selector()
+    res = ses.solve([])
+    assert res.sat and res.lit_true(1)
+    ses.retire_selector(sel)
+    assert ses.selectors == [] and ses.solve([1]).sat
 
 
 def test_core_subset_and_sound(mhs_dl, mhs_instance):
@@ -78,7 +90,7 @@ def test_stats_accumulate(mhs_dl, mhs_instance):
 
 
 def test_timeout_is_explicit():
-    # 7 pigeons into 6 holes, tiny budget
+    # 7 pigeons into 6 holes: about 0.1 s of search, cut after 10 ms
     ses = OracleSession(42)
     def var(p, h):
         return p * 6 + h + 1
@@ -89,7 +101,7 @@ def test_timeout_is_explicit():
             for p2 in range(p1 + 1, 7):
                 ses.add_clause([-var(p1, h), -var(p2, h)])
     with pytest.raises(OracleTimeout):
-        ses.solve([], conflict_budget=3)
+        ses.solve([], deadline=time.monotonic() + 0.01)
     assert not ses.solve([]).sat  # afterwards the session still answers
 
 
