@@ -52,6 +52,7 @@ from .explain import (
     reduce_dual,
 )
 from .enumeration import (
+    Explainer,
     ExplanationReport,
     HittingSetOracle,
     enumerate_cxp_lbx,

@@ -3,8 +3,9 @@
 Self-contained incremental solver with assumption support and final-conflict
 core extraction, in the MiniSat tradition: two-watched-literal propagation,
 1UIP learning with recursive minimization, EVSIDS branching, phase saving,
-Luby restarts and activity-based learnt-clause reduction.  Fully
-deterministic: identical inputs produce identical models and cores.
+Luby restarts, activity-based learnt-clause reduction and removal of the
+clauses satisfied at level 0.  Fully deterministic: identical inputs
+produce identical models and cores.
 
 Literals use the DIMACS convention externally (non-zero ints, negative for
 negated); internally literal l of variable v is 2*v (positive) or 2*v+1.
@@ -139,6 +140,45 @@ class Solver:
         # watches[l] holds the clauses watching l, visited when l turns false
         self.watches[clause[0]].append([clause, clause[1]])
         self.watches[clause[1]].append([clause, clause[0]])
+
+    def _rebuild_watches(self) -> None:
+        # every stored clause is watched by its first two literals
+        self.watches = [[] for _ in range(2 * self.nvars)]
+        for clause in self.clauses:
+            self._watch(clause)
+        for clause in self.learnts:
+            self._watch(clause)
+
+    def simplify(self) -> bool:
+        """Remove what level 0 decides, as MiniSat's removeSatisfied does:
+        drop every problem and learnt clause satisfied at level 0, strip
+        the literals false there and rebuild the watch lists.  Returns
+        False if the clauses are unsatisfiable."""
+        assert not self.trail_lim, "simplify runs at decision level 0"
+        if not self.ok or self._propagate() is not None:
+            self.ok = False
+            return False
+        self.clauses = self._strip_satisfied(self.clauses)
+        self.learnts = self._strip_satisfied(self.learnts)
+        # conflict analysis never reads the reason of a level-0
+        # assignment, and the clause it names may just have gone
+        for ilit in self.trail:
+            self.reason[ilit >> 1] = None
+        self._rebuild_watches()
+        return True
+
+    def _strip_satisfied(self, clauses: list[list[int]]) -> list[list[int]]:
+        # a clause left unsatisfied at the level-0 fixpoint keeps its two
+        # watches, which are unassigned, at positions 0 and 1
+        kept = []
+        for clause in clauses:
+            values = [self._lit_value(l) for l in clause]
+            if TRUE in values:
+                self.cla_activity.pop(id(clause), None)
+                continue
+            clause[:] = [l for l, v in zip(clause, values) if v != FALSE]
+            kept.append(clause)
+        return kept
 
     # ------------------------------------------------------------------
     # trail
@@ -361,10 +401,7 @@ class Solver:
         if not drop:
             return
         self.learnts = [c for c in self.learnts if id(c) not in drop]
-        for lid in range(2 * self.nvars):
-            ws = self.watches[lid]
-            if ws:
-                self.watches[lid] = [e for e in ws if id(e[0]) not in drop]
+        self._rebuild_watches()
         for cid in drop:
             self.cla_activity.pop(cid, None)
 

@@ -32,7 +32,7 @@ from .encoding import (
     encode_dlsat,
     encode_explanation_query,
 )
-from .enumeration import enumerate_cxp_lbx, enumerate_marco
+from .enumeration import Explainer, enumerate_cxp_lbx, enumerate_marco
 from .explain import NoCxpExists, load_encoding, one_axp, one_cxp
 from .horn import NotRestricted, horn_axp
 from .model_io import ParseError, parse_instances, parse_model
@@ -91,10 +91,10 @@ def _deadline(args: argparse.Namespace) -> float | None:
     return time.monotonic() + args.budget_s if args.budget_s else None
 
 
-def _encode_for(args: argparse.Namespace, dl: DecisionList, inst: Instance):
+def _encoder(args: argparse.Namespace):
     if args.encoding == "alternative":
-        return encode_alternative(dl, inst)
-    return encode_explanation_query(dl, inst)
+        return encode_alternative
+    return encode_explanation_query
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -135,7 +135,7 @@ def _one_shot_record(args, dl, idx, inst):
         except NotRestricted as exc:
             record["error"] = f"not-restricted: {exc}"
     else:
-        enc = _encode_for(args, dl, inst)
+        enc = _encoder(args)(dl, inst)
         record["class"] = dl.space.classes[enc.pred_class]
         # a fresh session per instance: which explanation a one-shot engine
         # finds depends on solver state, and must not depend on other rows
@@ -158,16 +158,6 @@ def _one_shot_record(args, dl, idx, inst):
     return record
 
 
-def _session_for(sessions: dict, enc):
-    """The session of enc's predicted class, loaded on first use.  One
-    command keeps one such dict, so it loads each class's hard clauses
-    once.  An enumeration's output is a sorted set, so the runs of other
-    instances on the same session cannot change it."""
-    if enc.pred_class not in sessions:
-        sessions[enc.pred_class] = load_encoding(enc)
-    return sessions[enc.pred_class]
-
-
 def _enumerate(mode, enc, session, deadline):
     if mode == "enum-lbx":
         return enumerate_cxp_lbx(enc, session, deadline=deadline)
@@ -175,10 +165,10 @@ def _enumerate(mode, enc, session, deadline):
     return enumerate_marco(enc, session, target, deadline=deadline)
 
 
-def _enum_record(args, dl, idx, inst, sessions):
+def _enum_record(args, dl, idx, inst, explainer):
     deadline = _deadline(args)
-    enc = _encode_for(args, dl, inst)
-    report = _enumerate(args.mode, enc, _session_for(sessions, enc), deadline)
+    enc, session = explainer.query(inst)
+    report = _enumerate(args.mode, enc, session, deadline)
     record = {
         "instance": idx,
         "point": _point(dl, inst),
@@ -201,13 +191,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     all_complete = True
-    sessions = {}
+    explainer = Explainer(dl, _encoder(args))
     for idx, inst in enumerate(instances):
         if args.mode in ONE_SHOT_MODES:
             record = _one_shot_record(args, dl, idx, inst)
             complete = "incomplete" not in record
         else:
-            record, complete = _enum_record(args, dl, idx, inst, sessions)
+            record, complete = _enum_record(args, dl, idx, inst, explainer)
         all_complete &= complete
         _emit(record, args)
     if not all_complete and args.strict:
@@ -232,7 +222,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         return 0
     for idx, inst in enumerate(instances):
         try:
-            enc = _encode_for(args, dl, inst)
+            enc = _encoder(args)(dl, inst)
         except MultiClassUnsupported as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -252,7 +242,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     bounds = dict(max_points=args.bf_max_points,
                   max_features=args.bf_max_features)
     failures = budget_runs = 0
-    sessions = {}
+    explainer = Explainer(dl, encode_explanation_query)
     for idx, inst in enumerate(instances):
         try:
             expected_x = bf_all_axps(dl, inst, **bounds)
@@ -260,12 +250,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except BoundExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        enc = encode_explanation_query(dl, inst)
+        enc, session = explainer.query(inst)
         results = {}
         incomplete = []
         for mode in ("enum-marco-axp", "enum-marco-cxp", "enum-lbx"):
-            report = _enumerate(mode, enc, _session_for(sessions, enc),
-                                _deadline(args))
+            report = _enumerate(mode, enc, session, _deadline(args))
             axps = None if mode == "enum-lbx" else set(report.axps)
             results[report.mode] = (axps, set(report.cxps))
             if not report.complete:

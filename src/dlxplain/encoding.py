@@ -63,7 +63,6 @@ class Encoding:
     hard: list[list[int]]
     soft: list[int]
     dl: DecisionList
-    instance: Instance
     pred_class: int
 
 
@@ -83,6 +82,11 @@ def _exactly_one_clauses(dl: DecisionList, vm: VarMap) -> list[list[int]]:
                 if u < w:
                     out.append([-vm.b[(j, u)], -vm.b[(j, w)]])
     return out
+
+
+def _softs(vm: VarMap, point) -> list[int]:
+    """One unit literal per feature, pinning it to the point's value."""
+    return [vm.b[(j, v)] for j, v in enumerate(point)]
 
 
 def _literal_var(vm: VarMap, feature: int, equal: bool, value: int) -> int:
@@ -137,8 +141,7 @@ def encode_explanation_query(dl: DecisionList, inst: Instance) -> Encoding:
         # the default must not fire: some other-class rule must hold
         hard.append(list(vm.t.values()))
 
-    soft = [vm.b[(j, v)] for j, v in enumerate(inst.point)]
-    return Encoding(vm, hard, soft, dl, inst, c)
+    return Encoding(vm, hard, _softs(vm, inst.point), dl, c)
 
 
 def _sequential_plan(dl: DecisionList, pred: int):
@@ -206,8 +209,7 @@ def encode_alternative(dl: DecisionList, inst: Instance) -> Encoding:
         prev_q = qv
     hard.append([-prev_q])
 
-    soft = [vm.b[(j, v)] for j, v in enumerate(inst.point)]
-    return Encoding(vm, hard, soft, dl, inst, c)
+    return Encoding(vm, hard, _softs(vm, inst.point), dl, c)
 
 
 def encode_dlsat(dl: DecisionList, target: int) -> tuple[VarMap, list[list[int]]]:

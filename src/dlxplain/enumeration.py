@@ -6,18 +6,53 @@ explanations of the dual kind found so far.  Each round either confirms the
 hitting set as a new target explanation (already minimal, since every
 proper subset misses a known dual explanation) or extracts a fresh dual
 explanation from the counterexample.  A plain blocking-clause loop over the
-single-CXp engine is provided as well.
+single-CXp engine is provided as well.  An `Explainer` hands every engine
+its instance's query on one solver session per predicted class.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .core import AXP, CXP
-from .encoding import Encoding
-from .explain import ContractError, NoCxpExists, _query, one_cxp, reduce_dual
+from .core import AXP, CXP, DecisionList, Instance, classify
+from .encoding import Encoding, _softs, encode_explanation_query
+from .explain import (
+    ContractError,
+    NoCxpExists,
+    _query,
+    load_encoding,
+    one_cxp,
+    reduce_dual,
+)
 from .oracle import OracleSession, OracleTimeout
+
+
+class Explainer:
+    """The explanation queries of one model, on one solver session per
+    predicted class.
+
+    Hard clauses depend only on the model and the predicted class, so the
+    session of a class can serve every instance of that class: the first
+    instance encodes and loads them, and every later one only gets its own
+    softs.  The engines pin an instance through assumptions and retire
+    every clause they add, and an enumeration reports a sorted set, so the
+    runs of other instances on the same session cannot change it.
+    """
+
+    def __init__(self, dl: DecisionList, encode=encode_explanation_query):
+        self.dl = dl
+        self.encode = encode
+        self.sessions: dict[int, tuple[Encoding, OracleSession]] = {}
+
+    def query(self, inst: Instance) -> tuple[Encoding, OracleSession]:
+        """The instance's encoding and its class's session."""
+        cls, _ = classify(self.dl, inst.point)
+        if cls not in self.sessions:
+            enc = self.encode(self.dl, inst)
+            self.sessions[cls] = (enc, load_encoding(enc))
+        enc, session = self.sessions[cls]
+        return replace(enc, soft=_softs(enc.varmap, inst.point)), session
 
 
 class HittingSetOracle:
@@ -73,8 +108,6 @@ def _sort_key(s: frozenset):
 class ExplanationReport:
     """Everything enumerated for one instance, plus bookkeeping."""
 
-    instance: tuple[int, ...]
-    pred_class: int
     mode: str
     axps: list[frozenset] = field(default_factory=list)
     cxps: list[frozenset] = field(default_factory=list)
@@ -113,8 +146,7 @@ def enumerate_marco(
         raise ValueError(f"unknown target kind {target!r}")
     start = time.monotonic()
     calls0 = session.stats.calls
-    report = ExplanationReport(enc.instance.point, enc.pred_class,
-                               f"marco-{target}")
+    report = ExplanationReport(f"marco-{target}")
     softs = list(enc.soft)
     mhs = HittingSetOracle(range(len(softs)))
     dual = CXP if target == AXP else AXP
@@ -165,7 +197,7 @@ def enumerate_cxp_lbx(
     session can serve other instances."""
     start = time.monotonic()
     calls0 = session.stats.calls
-    report = ExplanationReport(enc.instance.point, enc.pred_class, "lbx")
+    report = ExplanationReport("lbx")
     softs = list(enc.soft)
     selector = session.new_selector()
     cxps: list[frozenset] = []

@@ -28,11 +28,7 @@ class ContractError(ValueError):
 
 
 def load_encoding(enc: Encoding) -> OracleSession:
-    """A fresh session holding the encoding's hard clauses.
-
-    Hard clauses depend only on the model and the predicted class, so the
-    session can serve every instance of that class: the engines pin an
-    instance through assumptions and retire every clause they add."""
+    """A fresh session holding the encoding's hard clauses."""
     session = OracleSession(enc.varmap.var_count)
     for cl in enc.hard:
         session.add_clause(cl)

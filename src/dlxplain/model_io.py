@@ -153,9 +153,9 @@ def parse_instances(text: str, space: FeatureSpace) -> list[Instance]:
     """Read instances from CSV text.
 
     The header names every feature (any order) and may end with a `class`
-    column carrying expected labels; a feature may itself be named
-    `class`.  Values are matched as exact strings against the declared
-    domain value names; no numeric coercion.
+    column carrying expected labels, where an empty cell means no label; a
+    feature may itself be named `class`.  Values are matched as exact
+    strings against the declared domain value names; no numeric coercion.
     """
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
@@ -193,7 +193,7 @@ def parse_instances(text: str, space: FeatureSpace) -> list[Instance]:
             except InputError as exc:
                 raise ParseError(str(exc), rownum) from exc
         label = None
-        if has_class:
+        if has_class and row[-1].strip():
             try:
                 label = space.class_index(row[-1].strip())
             except InputError as exc:

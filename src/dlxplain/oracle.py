@@ -2,8 +2,11 @@
 
 An OracleSession owns one embedded CDCL solver.  Clauses are append-only;
 a clause registered under a selector variable is stored as (-selector OR
-clause) and stays active until the selector is retired.  Sessions are
-single-owner: one engine at a time; independent sessions run in parallel.
+clause) and stays active until the selector is retired.  Every 16th
+retirement sweeps the clauses that retired selectors satisfy out of the
+solver, so a long-lived session does not grow with its history.  Sessions
+are single-owner: one engine at a time; independent sessions run in
+parallel.
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ import time
 from dataclasses import dataclass
 
 from .cdcl import BudgetExceeded, Solver
+
+# retirements between two sweeps of the satisfied clauses: a fixed count,
+# so that every solver counter still repeats exactly
+SWEEP_EVERY = 16
 
 
 class OracleTimeout(Exception):
@@ -51,6 +58,7 @@ class OracleSession:
         # active selectors, assumed true in allocation order: the order
         # fixes the assumption list, and with it the solver's search
         self.selectors: list[int] = []
+        self.retired = 0
         self.stats = SessionStats()
 
     # -- variables ------------------------------------------------------
@@ -84,6 +92,9 @@ class OracleSession:
             raise UnknownSelector(selector)
         self.selectors.remove(selector)
         self.solver.add_clause([-selector])
+        self.retired += 1
+        if self.retired % SWEEP_EVERY == 0:
+            self.solver.simplify()
 
     # -- solving --------------------------------------------------------
 

@@ -17,6 +17,7 @@ from dlxplain import (
     CnfFormula,
     DnfFormula,
     ExplanationSets,
+    Explainer,
     GeneratorParams,
     Instance,
     bf_all_axps,
@@ -339,9 +340,9 @@ def test_criterion_7_desk_scale_performance():
         for mode in ("enum-marco-axp", "enum-marco-cxp", "enum-lbx"):
             started = time.monotonic()
             axps = cxps = 0
+            explainer = Explainer(dl)
             for inst in insts:
-                enc = encode_explanation_query(dl, inst)
-                session = load_encoding(enc)
+                enc, session = explainer.query(inst)
                 if mode == "enum-lbx":
                     rep = enumerate_cxp_lbx(enc, session)
                 else:

@@ -214,6 +214,59 @@ def test_branching_heap_stays_bounded():
         assert len(s.heap) <= 2 * s.nvars
 
 
+def _stored(s):
+    return {frozenset(map(s._extern, cl)) for cl in s.clauses}
+
+
+def test_simplify_removes_what_level_0_decides():
+    s = make_solver([[1, 2, 3], [-1, 4, 5], [2, -3, 5]])
+    assert s.solve()[0]
+    s.add_clause([1])
+    assert s.simplify()
+    # [1, 2, 3] is satisfied, -1 is false: only the rest is kept
+    assert _stored(s) == {frozenset({4, 5}), frozenset({2, -3, 5})}
+    assert all(len(w) <= 2 for w in s.watches)
+    assert not s.solve([-4, -5])[0]
+    sat, model, _ = s.solve([-2, 3])
+    assert sat and model[5]
+    s.add_clause([-5])
+    assert s.simplify()
+    assert _stored(s) == {frozenset({2, -3})}
+    assert s.solve()[1][4]
+    s.add_clause([-4])
+    assert not s.simplify() and not s.solve()[0]
+
+
+def test_simplify_and_learnt_reduction_keep_answers():
+    # near-threshold 3-SAT: units arrive one by one, each followed by a
+    # sweep, while a tiny learnt-clause limit makes the solver reduce its
+    # database often; a fresh solver on the same clauses is the referee
+    rng = random.Random(3)
+    for trial in range(40):
+        n = 24
+        clauses = [[rng.choice((-1, 1)) * v for v in rng.sample(range(1, n + 1), 3)]
+                   for _ in range(96)]
+        s = make_solver(clauses)
+        s.max_learnts = 2
+        for v in rng.sample(range(1, n + 1), 6):
+            unit = rng.choice([v, -v])
+            clauses.append([unit])
+            s.add_clause([unit])
+            if s.simplify():
+                for cl in s.clauses + s.learnts:
+                    assert all(s._lit_value(l) == 2 for l in cl)
+                    # watched by its first two literals, and only there
+                    assert [i for i, ws in enumerate(s.watches)
+                            for e in ws if e[0] is cl] == sorted(cl[:2])
+            assumps = [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), 2)]
+            sat, model, _ = s.solve(assumps)
+            assert sat == make_solver(clauses).solve(assumps)[0], trial
+            if sat:
+                full = clauses + [[a] for a in assumps]
+                assert all(any(model[abs(l)] == (l > 0) for l in cl)
+                           for cl in full), trial
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_hypothesis_random_formulas(data):

@@ -359,15 +359,18 @@ def _write_rows(tmp_path, name, rows):
 
 @pytest.fixture
 def load_counter(monkeypatch):
+    """Predicted classes of the sessions loaded, by the one-shot path in
+    `cli` or by an `Explainer` in `enumeration`."""
     import dlxplain.cli as cli_mod
+    import dlxplain.enumeration as enum_mod
     loads = []
-    real = cli_mod.load_encoding
 
-    def counting(enc):
-        loads.append(enc.pred_class)
-        return real(enc)
+    for module in (cli_mod, enum_mod):
+        def counting(enc, real=module.load_encoding):
+            loads.append(enc.pred_class)
+            return real(enc)
 
-    monkeypatch.setattr(cli_mod, "load_encoding", counting)
+        monkeypatch.setattr(module, "load_encoding", counting)
     return loads
 
 

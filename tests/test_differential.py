@@ -5,8 +5,8 @@ The random generators only build consistent antecedents over uniform
 domains; the strategy here also produces inconsistent antecedents, '!='
 literals that together exclude a whole domain, features with a one-value
 domain, multi-class models with any default class, and default-only
-models.  The enumeration modes run 2-4 instances per model on one session
-per predicted class, as the command line does.
+models.  The enumeration modes run 2-4 instances per model through one
+`Explainer`, as the command line does.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dlxplain import (
     DecisionList,
     FeatureSpace,
+    Explainer,
     Instance,
     Literal,
     Rule,
@@ -66,15 +67,16 @@ def decision_lists(draw):
 
 
 def _check_engines(encode, dl, insts):
-    """Every enumeration mode on one session per predicted class, shared by
-    all instances and modes; the one-shot engines on a fresh session."""
-    sessions = {}
+    """Every enumeration mode through one `Explainer`, whose class sessions
+    all instances and modes share; the one-shot engines on a fresh
+    session.  The Explainer's query equals a fresh encoding."""
+    explainer = Explainer(dl, encode)
     for inst in insts:
         axps, cxps = set(bf_all_axps(dl, inst)), set(bf_all_cxps(dl, inst))
-        enc = encode(dl, inst)
-        if enc.pred_class not in sessions:
-            sessions[enc.pred_class] = load_encoding(enc)
-        shared = sessions[enc.pred_class]
+        enc, shared = explainer.query(inst)
+        fresh = encode(dl, inst)
+        assert (enc.hard, enc.soft, enc.varmap, enc.pred_class) == \
+            (fresh.hard, fresh.soft, fresh.varmap, fresh.pred_class)
         for target in (AXP, CXP):
             rep = enumerate_marco(enc, shared, target)
             assert rep.complete

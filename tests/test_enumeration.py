@@ -19,7 +19,7 @@ from dlxplain import (
     generate_random_instances,
 )
 from dlxplain.core import AXP, CXP
-from dlxplain.enumeration import HittingSetOracle
+from dlxplain.enumeration import Explainer, HittingSetOracle
 from dlxplain.explain import ContractError, load_encoding
 from dlxplain.oracle import OracleSession, OracleTimeout
 
@@ -207,21 +207,17 @@ def test_report_statistics(mhs_dl, mhs_instance):
     assert rep.oracle_calls > 0
     assert rep.wall_time >= 0
     assert rep.mode == "marco-axp"
-    assert rep.instance == mhs_instance.point
 
 
 def _run_on_class_sessions(dl, insts, mode, cut=None):
-    """Enumerate `insts` in order on one session per predicted class, the
-    way the CLI does.  With `cut`, the first instance's run is cut short:
-    its main-oracle calls time out from the `cut`-th on (0: a deadline that
-    has already expired)."""
-    sessions = {}
+    """Enumerate `insts` in order through one `Explainer`, the way the CLI
+    does.  With `cut`, the first instance's run is cut short: its
+    main-oracle calls time out from the `cut`-th on (0: a deadline that has
+    already expired)."""
+    explainer = Explainer(dl)
     results = []
     for idx, inst in enumerate(insts):
-        enc = encode_explanation_query(dl, inst)
-        if enc.pred_class not in sessions:
-            sessions[enc.pred_class] = load_encoding(enc)
-        session = sessions[enc.pred_class]
+        enc, session = explainer.query(inst)
         deadline = None
         if cut is not None and idx == 0:
             if cut == 0:
@@ -235,7 +231,7 @@ def _run_on_class_sessions(dl, insts, mode, cut=None):
         session.__dict__.pop("solve", None)
         assert not session.selectors  # retired, however the run ended
         results.append((rep.complete, set(rep.axps), set(rep.cxps)))
-    return results, len(sessions)
+    return results, len(explainer.sessions)
 
 
 def _timeout_after(solve, calls):
@@ -298,3 +294,27 @@ def test_enumeration_respects_deadline():
     rep = enumerate_marco(enc, load_encoding(enc), AXP,
                           deadline=time.monotonic())  # already expired
     assert not rep.complete
+
+
+def test_class_sessions_stay_small_over_a_long_stream():
+    # every 16th retired selector sweeps the clauses that retired
+    # selectors satisfy, so a class session serving a long stream stays
+    # near its loaded size and keeps its answers exact
+    p = GeneratorParams(seed=1, num_features=6, domain_size=3, num_rules=30,
+                        max_antecedent_len=3, num_classes=2)
+    dl = generate_random_dl(p)
+    explainer = Explainer(dl)
+    loaded = {}
+    for inst in generate_random_instances(dl, 60, seed=1):
+        enc, session = explainer.query(inst)
+        solver = session.solver
+        loaded.setdefault(enc.pred_class,
+                          len(solver.clauses) + len(solver.learnts))
+        axps, cxps = set(bf_all_axps(dl, inst)), set(bf_all_cxps(dl, inst))
+        assert set(enumerate_cxp_lbx(enc, session).cxps) == cxps
+        for target in (AXP, CXP):
+            rep = enumerate_marco(enc, session, target)
+            assert (set(rep.axps), set(rep.cxps)) == (axps, cxps)
+        size = len(solver.clauses) + len(solver.learnts)
+        assert size < 2 * loaded[enc.pred_class]
+    assert len(explainer.sessions) == 2

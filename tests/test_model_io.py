@@ -121,8 +121,8 @@ def test_serialize_instances_roundtrip(dl00):
     assert parse_instances(text, dl00.space) == insts
 
 
-@pytest.mark.parametrize("labels", [(None, None), (1, 0)],
-                         ids=["unlabelled", "labelled"])
+@pytest.mark.parametrize("labels", [(None, None), (1, 0), (0, None)],
+                         ids=["unlabelled", "labelled", "mixed"])
 def test_serialize_instances_roundtrip_feature_named_class(labels):
     # a trailing `class` column is a feature here unless it occurs twice
     dl = parse_model("feature x : a, b\nfeature class : u, v\n"
