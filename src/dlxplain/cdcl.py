@@ -169,14 +169,18 @@ class Solver:
 
     def _strip_satisfied(self, clauses: list[list[int]]) -> list[list[int]]:
         # a clause left unsatisfied at the level-0 fixpoint keeps its two
-        # watches, which are unassigned, at positions 0 and 1
+        # watches, which are unassigned, at positions 0 and 1; at level 0
+        # the trail holds exactly the true literals, and set tests keep
+        # a sweep after every selector retirement cheap
+        true = set(self.trail)
+        false = {ilit ^ 1 for ilit in self.trail}
         kept = []
         for clause in clauses:
-            values = [self._lit_value(l) for l in clause]
-            if TRUE in values:
+            if not true.isdisjoint(clause):
                 self.cla_activity.pop(id(clause), None)
                 continue
-            clause[:] = [l for l, v in zip(clause, values) if v != FALSE]
+            if not false.isdisjoint(clause):
+                clause[:] = [l for l in clause if l not in false]
             kept.append(clause)
         return kept
 

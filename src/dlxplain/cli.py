@@ -186,10 +186,6 @@ def _enum_record(args, dl, idx, inst, explainer):
 
 def cmd_explain(args: argparse.Namespace) -> int:
     dl, instances = _load(args)
-    if args.encoding == "alternative" and len(dl.space.classes) != 2:
-        print("error: the alternative encoding handles binary models only",
-              file=sys.stderr)
-        return 2
     all_complete = True
     explainer = Explainer(dl, _encoder(args))
     for idx, inst in enumerate(instances):
@@ -221,11 +217,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
                "clauses": len(clauses)}, args)
         return 0
     for idx, inst in enumerate(instances):
-        try:
-            enc = _encoder(args)(dl, inst)
-        except MultiClassUnsupported as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        enc = _encoder(args)(dl, inst)
         path = out_dir / f"inst{idx:04d}.wcnf"
         path.write_text(dump_wcnf(enc), encoding="utf-8")
         _emit({
@@ -354,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (ParseError, InputError, OSError) as exc:
+    except (ParseError, InputError, MultiClassUnsupported, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

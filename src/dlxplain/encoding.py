@@ -169,7 +169,8 @@ def encode_alternative(dl: DecisionList, inst: Instance) -> Encoding:
     """
     if len(dl.space.classes) != 2:
         raise MultiClassUnsupported(
-            f"sequential encoding needs 2 classes, model has {len(dl.space.classes)}"
+            "the sequential encoding handles binary models only; "
+            f"this one has {len(dl.space.classes)} classes"
         )
     c, _ = classify(dl, inst.point)
     chain, others, default_included = _sequential_plan(dl, c)

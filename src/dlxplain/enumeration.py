@@ -35,9 +35,11 @@ class Explainer:
     Hard clauses depend only on the model and the predicted class, so the
     session of a class can serve every instance of that class: the first
     instance encodes and loads them, and every later one only gets its own
-    softs.  The engines pin an instance through assumptions and retire
-    every clause they add, and an enumeration reports a sorted set, so the
-    runs of other instances on the same session cannot change it.
+    softs.  The engines pin an instance through assumptions and add
+    clauses only under a selector they retire before returning (an lbx
+    run holds one for the whole run), and each retirement sweeps those
+    clauses out again.  An enumeration reports a sorted set, so the runs
+    of other instances on the same session cannot change it.
     """
 
     def __init__(self, dl: DecisionList, encode=encode_explanation_query):
@@ -113,7 +115,6 @@ class ExplanationReport:
     cxps: list[frozenset] = field(default_factory=list)
     complete: bool = True
     wall_time: float = 0.0
-    oracle_calls: int = 0
 
     def finalize(self) -> "ExplanationReport":
         self.axps = sorted({frozenset(x) for x in self.axps}, key=_sort_key)
@@ -145,7 +146,6 @@ def enumerate_marco(
     if target not in (AXP, CXP):
         raise ValueError(f"unknown target kind {target!r}")
     start = time.monotonic()
-    calls0 = session.stats.calls
     report = ExplanationReport(f"marco-{target}")
     softs = list(enc.soft)
     mhs = HittingSetOracle(range(len(softs)))
@@ -181,9 +181,6 @@ def enumerate_marco(
     report.axps = found[AXP]
     report.cxps = found[CXP]
     report.wall_time = time.monotonic() - start
-    report.oracle_calls = (
-        session.stats.calls - calls0 + mhs.session.stats.calls
-    )
     return report.finalize()
 
 
@@ -192,31 +189,25 @@ def enumerate_cxp_lbx(
     session: OracleSession,
     deadline: float | None = None,
 ) -> ExplanationReport:
-    """All CXps by repeated single-CXp extraction; each one is blocked with
-    one clause under a fresh selector, which is retired at the end so the
-    session can serve other instances."""
+    """All CXps by repeated single-CXp extraction under one run-wide
+    selector: the last clause-D clause of each extraction is that CXp's
+    blocking clause.  The selector is retired at the end, however the run
+    ends, so the session can serve other instances."""
     start = time.monotonic()
-    calls0 = session.stats.calls
     report = ExplanationReport("lbx")
-    softs = list(enc.soft)
     selector = session.new_selector()
-    cxps: list[frozenset] = []
     try:
         while True:
             try:
-                cxp = one_cxp(enc, session, deadline=deadline)
+                cxp = one_cxp(enc, session, deadline=deadline,
+                              selector=selector)
             except NoCxpExists:
                 break
-            cxps.append(cxp.features)
-            session.add_clause(
-                [softs[j] for j in sorted(cxp.features)], selector=selector
-            )
+            report.cxps.append(cxp.features)
     except OracleTimeout:
         report.complete = False
     finally:
         session.retire_selector(selector)
 
-    report.cxps = cxps
     report.wall_time = time.monotonic() - start
-    report.oracle_calls = session.stats.calls - calls0
     return report.finalize()

@@ -86,31 +86,40 @@ def one_cxp(
     enc: Encoding,
     session: OracleSession,
     deadline: float | None = None,
+    selector: int | None = None,
 ) -> Explanation:
     """One contrastive explanation via satisfiable-subset growing with the
     clause-D step: each round adds the disjunction of the still-falsified
-    soft literals (under a throwaway selector) and asks for a model
-    satisfying one more of them.
+    soft literals under `selector` and asks for a model satisfying one more
+    of them.
+
+    The falsified set only shrinks, so the last clause-D clause is the
+    returned CXp's blocking clause and every earlier one is implied by it.
+    Under a caller's selector the clauses stay until that caller retires
+    it, also after an OracleTimeout, so later calls under it never return
+    this CXp again.  Without one, a throwaway selector is allocated and
+    retired before returning.
     """
     res = session.solve((), deadline=deadline)
     if not res.sat:
         raise NoCxpExists("hard clauses are unsatisfiable; prediction is fixed")
     softs = list(enc.soft)
-    satisfied = [l for l in softs if res.lit_true(l)]
-    falsified = [l for l in softs if not res.lit_true(l)]
-    cld = session.new_selector()
+    sel = session.new_selector() if selector is None else selector
     try:
-        while falsified:
-            session.add_clause(list(falsified), selector=cld)
-            res = session.solve(satisfied, deadline=deadline)
+        while True:
+            falsified = [j for j, l in enumerate(softs) if not res.lit_true(l)]
+            session.add_clause([softs[j] for j in falsified], selector=sel)
+            if not falsified:
+                break
+            res = session.solve(
+                [l for l in softs if res.lit_true(l)], deadline=deadline
+            )
             if not res.sat:
                 break
-            satisfied = [l for l in softs if res.lit_true(l)]
-            falsified = [l for l in softs if not res.lit_true(l)]
     finally:
-        session.retire_selector(cld)
-    feats = frozenset(softs.index(l) for l in falsified)
-    return Explanation(CXP, feats)
+        if selector is None:
+            session.retire_selector(sel)
+    return Explanation(CXP, frozenset(falsified))
 
 
 def reduce_dual(

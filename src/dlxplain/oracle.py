@@ -2,9 +2,9 @@
 
 An OracleSession owns one embedded CDCL solver.  Clauses are append-only;
 a clause registered under a selector variable is stored as (-selector OR
-clause) and stays active until the selector is retired.  Every 16th
-retirement sweeps the clauses that retired selectors satisfy out of the
-solver, so a long-lived session does not grow with its history.  Sessions
+clause) and stays active until the selector is retired.  Each retirement
+sweeps the clauses that level 0 now satisfies out of the solver, so a
+long-lived session does not grow with its history.  Sessions
 are single-owner: one engine at a time; independent sessions run in
 parallel.
 """
@@ -15,10 +15,6 @@ import time
 from dataclasses import dataclass
 
 from .cdcl import BudgetExceeded, Solver
-
-# retirements between two sweeps of the satisfied clauses: a fixed count,
-# so that every solver counter still repeats exactly
-SWEEP_EVERY = 16
 
 
 class OracleTimeout(Exception):
@@ -58,7 +54,6 @@ class OracleSession:
         # active selectors, assumed true in allocation order: the order
         # fixes the assumption list, and with it the solver's search
         self.selectors: list[int] = []
-        self.retired = 0
         self.stats = SessionStats()
 
     # -- variables ------------------------------------------------------
@@ -87,14 +82,13 @@ class OracleSession:
         self.solver.add_clause(lits)
 
     def retire_selector(self, selector: int) -> None:
-        """Permanently disable a selector's clauses and stop assuming it."""
+        """Permanently disable a selector's clauses, sweep them out of the
+        solver and stop assuming it."""
         if selector not in self.selectors:
             raise UnknownSelector(selector)
         self.selectors.remove(selector)
         self.solver.add_clause([-selector])
-        self.retired += 1
-        if self.retired % SWEEP_EVERY == 0:
-            self.solver.simplify()
+        self.solver.simplify()
 
     # -- solving --------------------------------------------------------
 

@@ -67,6 +67,23 @@ def test_one_cxp_no_cxp_exists(constant_dl):
         one_cxp(enc, ses)
 
 
+def test_one_cxp_under_a_caller_selector_blocks_its_answer(mhs_dl, mhs_instance):
+    # the last clause-D clause stays under the caller's selector, so the
+    # next call under it finds another CXp; retiring it frees the session
+    enc, ses = _session(mhs_dl, mhs_instance)
+    valid = bf_all_cxps(mhs_dl, mhs_instance)
+    sel = ses.new_selector()
+    first = one_cxp(enc, ses, selector=sel).features
+    second = one_cxp(enc, ses, selector=sel).features
+    assert ses.selectors == [sel]
+    assert {first, second} <= valid and first != second
+    with pytest.raises(NoCxpExists):
+        one_cxp(enc, ses, selector=sel)
+    ses.retire_selector(sel)
+    assert not ses.selectors
+    assert one_cxp(enc, ses).features in valid
+
+
 def test_one_cxp_session_reusable_after_call(mhs_dl, mhs_instance):
     # the throwaway clause-D group is retired, so later queries on the
     # session still see the original hard clauses only

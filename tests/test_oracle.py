@@ -49,6 +49,19 @@ def test_selector_toggle_idempotent_and_unknown():
             ses.retire_selector(bad)
 
 
+def test_retiring_a_selector_sweeps_its_clauses_at_once():
+    # the clauses a retired selector guarded leave the solver with it
+    ses = OracleSession(3)
+    ses.add_clause([1, 2, 3])
+    sel = ses.new_selector()
+    ses.add_clause([-1, 2], selector=sel)
+    ses.add_clause([-2, 3], selector=sel)
+    assert len(ses.solver.clauses) == 3
+    ses.retire_selector(sel)
+    assert len(ses.solver.clauses) == 1
+    assert ses.solve([1, -2]).sat
+
+
 def test_enabling_unused_selector_is_noop():
     # a selector with no clauses neither blocks models nor leaves a trace
     ses = OracleSession(1)
