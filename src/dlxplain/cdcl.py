@@ -7,6 +7,13 @@ Luby restarts, activity-based learnt-clause reduction and removal of the
 clauses satisfied at level 0.  Fully deterministic: identical inputs
 produce identical models and cores.
 
+Each call starts where the previous one left off.  Decision level k holds
+the k-th assumption, and a call keeps every level up to the first whose
+assumption differs from its own list, so a shared assumption prefix is
+propagated once (trail reuse, van der Tak, Ramos & Heule, JSAT 2011).  The
+caller's `prefer` literals then get their saved phase set true, so the
+search starts from them wherever the clauses allow.
+
 Literals use the DIMACS convention externally (non-zero ints, negative for
 negated); internally literal l of variable v is 2*v (positive) or 2*v+1.
 """
@@ -59,6 +66,8 @@ class Solver:
         self.cla_activity: dict[int, float] = {}
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
+        # the last call's assumptions; open decision level k holds the k-th
+        self.last_assumptions: list[int] = []
         self.qhead = 0
         self.var_inc = 1.0
         self.var_decay = 1.0 / 0.95
@@ -88,11 +97,6 @@ class Solver:
         self.ensure_vars(self.nvars + 1)
         return self.nvars
 
-    def set_phase(self, var: int, value: bool) -> None:
-        """Bias the first branch on 1-based `var` towards `value`."""
-        self.ensure_vars(var)
-        self.saved_phase[var - 1] = value
-
     @staticmethod
     def _intern(lit: int) -> int:
         v = abs(lit) - 1
@@ -109,8 +113,9 @@ class Solver:
 
     def add_clause(self, lits) -> bool:
         """Add a problem clause; returns False if the instance became
-        trivially unsatisfiable.  Only legal with no open decisions."""
-        assert not self.trail_lim, "clauses are added at decision level 0"
+        trivially unsatisfiable.  Backtracks to level 0 first, so the next
+        call propagates its assumptions again."""
+        self._backtrack(0)
         for lit in lits:
             self.ensure_vars(abs(lit))
         if not self.ok:
@@ -152,9 +157,10 @@ class Solver:
     def simplify(self) -> bool:
         """Remove what level 0 decides, as MiniSat's removeSatisfied does:
         drop every problem and learnt clause satisfied at level 0, strip
-        the literals false there and rebuild the watch lists.  Returns
-        False if the clauses are unsatisfiable."""
-        assert not self.trail_lim, "simplify runs at decision level 0"
+        the literals false there and rebuild the watch lists.  Backtracks
+        to level 0 first.  Returns False if the clauses are
+        unsatisfiable."""
+        self._backtrack(0)
         if not self.ok or self._propagate() is not None:
             self.ok = False
             return False
@@ -456,22 +462,34 @@ class Solver:
         self,
         assumptions: list[int] | None = None,
         deadline: float | None = None,
+        prefer=(),
     ) -> tuple[bool, list[bool] | None, list[int] | None]:
-        """Search under assumptions.
+        """Search under assumptions, branching first towards the `prefer`
+        literals.
 
         Returns (True, model, None) with model[v] the value of 1-based
         variable v, or (False, None, core) with core a subset of the
         assumptions sufficient for unsatisfiability.  Raises BudgetExceeded
         when the deadline runs out; the solver stays usable afterwards.
+        The assumption levels the answer leaves consistent stay on the
+        trail for the next call.
         """
         assumptions = list(assumptions or [])
-        for lit in assumptions:
+        for lit in (*assumptions, *prefer):
             self.ensure_vars(abs(lit))
         if not self.ok:
             return False, None, []
         iassumps = [self._intern(l) for l in assumptions]
         assumed = set(iassumps)
-        self._backtrack(0)
+        keep = 0
+        while keep < min(self._decision_level(), len(iassumps)) and \
+                self.last_assumptions[keep] == iassumps[keep]:
+            keep += 1
+        self._backtrack(keep)
+        self.last_assumptions = iassumps
+        # after the backtrack, whose phase saving would overwrite them
+        for lit in prefer:
+            self.saved_phase[abs(lit) - 1] = lit > 0
 
         restarts = 0
         limit = 64 * _luby(restarts)
@@ -518,9 +536,8 @@ class Solver:
                     self.trail_lim.append(len(self.trail))
                     continue
                 if val == FALSE:
-                    core = self._analyze_final(a, assumed)
-                    self._backtrack(0)
-                    return False, None, core
+                    # every open level holds a satisfied assumption
+                    return False, None, self._analyze_final(a, assumed)
                 next_lit = a
                 break
             if next_lit == -1:
@@ -529,7 +546,7 @@ class Solver:
                     model = [False] * (self.nvars + 1)
                     for v in range(self.nvars):
                         model[v + 1] = self.assign[v] == TRUE
-                    self._backtrack(0)
+                    self._backtrack(len(iassumps))
                     return True, model, None
             decisions += 1
             if deadline is not None and not decisions % 1024 and \

@@ -144,7 +144,10 @@ def _one_shot_record(args, dl, idx, inst):
             if args.mode == "one-axp":
                 expl = one_axp(enc, session, deadline=deadline)
             else:
-                expl = one_cxp(enc, session, deadline=deadline)
+                # the session is dropped afterwards, so its clause-D
+                # clauses need no retirement sweep
+                expl = one_cxp(enc, session, deadline=deadline,
+                               selector=session.new_selector())
             record["kind"] = expl.kind
             record["features"] = _feature_names(dl, expl.features)
         except NoCxpExists:
@@ -185,6 +188,9 @@ def _enum_record(args, dl, idx, inst, explainer):
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    if args.mode == "horn" and args.encoding != "main":
+        raise InputError(f"--mode horn uses no encoding; "
+                         f"drop --encoding {args.encoding}")
     dl, instances = _load(args)
     all_complete = True
     explainer = Explainer(dl, _encoder(args))

@@ -62,7 +62,7 @@ class HittingSetOracle:
 
     Each answer comes from one SAT call on a private session: one variable
     per universe element, sets-to-hit as positive clauses, blocked solutions
-    as negative clauses, and every element's phase set to false.  A greedy
+    as negative clauses, and every element preferred false.  A greedy
     pass then drops, in ascending order, every element that no set needs.
     The answer is a subset of a model of the blocking clauses, so it is
     never a superset of a blocked set.
@@ -90,9 +90,9 @@ class HittingSetOracle:
 
     def next(self, deadline: float | None = None) -> frozenset | None:
         """A subset-minimal unblocked hitting set, or None."""
-        for var in self.elem_var.values():
-            self.session.set_phase(var, False)
-        res = self.session.solve(deadline=deadline)
+        res = self.session.solve(
+            deadline=deadline, prefer=[-v for v in self.elem_var.values()]
+        )
         if not res.sat:
             return None
         answer = {e for e in self.universe if res.lit_true(self.elem_var[e])}

@@ -37,10 +37,12 @@ def load_encoding(enc: Encoding) -> OracleSession:
 
 def _query(session, softs, kind, feats, deadline):
     """Solve with the softs of `feats` fixed (AXp) or of every other
-    feature fixed (CXp).  `feats` is a (not necessarily minimal)
-    explanation iff the answer is UNSAT for an AXp and SAT for a CXp."""
+    feature fixed (CXp), preferring the instance's values for the rest.
+    `feats` is a (not necessarily minimal) explanation iff the answer is
+    UNSAT for an AXp and SAT for a CXp."""
     fixed = feats if kind == AXP else set(range(len(softs))) - set(feats)
-    return session.solve([softs[j] for j in sorted(fixed)], deadline=deadline)
+    return session.solve([softs[j] for j in sorted(fixed)], deadline=deadline,
+                         prefer=softs)
 
 
 def _delete(session, softs, kind, feats, known, deadline) -> frozenset[int]:
@@ -91,7 +93,8 @@ def one_cxp(
     """One contrastive explanation via satisfiable-subset growing with the
     clause-D step: each round adds the disjunction of the still-falsified
     soft literals under `selector` and asks for a model satisfying one more
-    of them.
+    of them.  Every solve prefers the instance's values, which keeps the
+    falsified set small.
 
     The falsified set only shrinks, so the last clause-D clause is the
     returned CXp's blocking clause and every earlier one is implied by it.
@@ -100,10 +103,10 @@ def one_cxp(
     this CXp again.  Without one, a throwaway selector is allocated and
     retired before returning.
     """
-    res = session.solve((), deadline=deadline)
+    softs = list(enc.soft)
+    res = session.solve((), deadline=deadline, prefer=softs)
     if not res.sat:
         raise NoCxpExists("hard clauses are unsatisfiable; prediction is fixed")
-    softs = list(enc.soft)
     sel = session.new_selector() if selector is None else selector
     try:
         while True:
@@ -112,7 +115,8 @@ def one_cxp(
             if not falsified:
                 break
             res = session.solve(
-                [l for l in softs if res.lit_true(l)], deadline=deadline
+                [l for l in softs if res.lit_true(l)], deadline=deadline,
+                prefer=softs,
             )
             if not res.sat:
                 break

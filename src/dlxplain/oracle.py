@@ -67,9 +67,6 @@ class OracleSession:
         self.selectors.append(sel)
         return sel
 
-    def set_phase(self, var: int, value: bool) -> None:
-        self.solver.set_phase(var, value)
-
     # -- clauses --------------------------------------------------------
 
     def add_clause(self, clause, selector: int | None = None) -> None:
@@ -93,10 +90,14 @@ class OracleSession:
     # -- solving --------------------------------------------------------
 
     def solve_under_assumptions(
-        self, assumptions=(), deadline: float | None = None
+        self, assumptions=(), deadline: float | None = None, prefer=()
     ) -> SolveResult:
         """SAT check of the active clauses under the given literals.
 
+        The search picks the `prefer` literals' values for every variable
+        it is free to choose.  The solver keeps the propagated assumption
+        prefix that the next call shares, so callers that vary the tail of
+        a fixed-order list pay the least.
         On UNSAT the result carries a core: a subset of the assumptions
         sufficient for unsatisfiability (not necessarily minimal; selector
         literals are filtered out).  Raises OracleTimeout at entry once the
@@ -110,7 +111,8 @@ class OracleSession:
         before_c = self.solver.conflicts
         before_p = self.solver.propagations
         try:
-            sat, model, core = self.solver.solve(full, deadline=deadline)
+            sat, model, core = self.solver.solve(full, deadline=deadline,
+                                                 prefer=prefer)
         except BudgetExceeded as exc:
             raise OracleTimeout(str(exc)) from exc
         finally:

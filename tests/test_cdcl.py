@@ -1,5 +1,6 @@
 """Solver sanity: answers cross-checked against truth-table enumeration on
-random small formulas, plus core soundness, determinism and budgets."""
+random small formulas, plus core soundness, determinism, budgets, preferred
+phases and the trail one call leaves to the next."""
 
 import itertools
 import random
@@ -162,9 +163,8 @@ def test_determinism():
 
 def test_incremental_solving_with_phases():
     s = make_solver([[1, 2, 3]])
-    s.set_phase(1, True)
-    sat, model, _ = s.solve()
-    assert sat
+    sat, model, _ = s.solve(prefer=[1])
+    assert sat and model[1]
     s.add_clause([-1])
     sat, model, _ = s.solve()
     assert sat and not model[1]
@@ -283,3 +283,49 @@ def test_hypothesis_random_formulas(data):
     s = make_solver(clauses)
     sat, model, _ = s.solve()
     assert sat == brute_force_sat(n, clauses)
+
+
+def test_prefer_wins_over_saved_phases():
+    # assuming 1 sets 2 false and 3 true; the next call drops that level,
+    # and the backtrack saves those values as phases
+    s = make_solver([[-1, -2], [-1, 3]])
+    sat, model, _ = s.solve([1])
+    assert sat and not model[2] and model[3]
+    sat, model, _ = s.solve([-1], prefer=[2, -3])
+    assert sat and model[2] and not model[3]
+    # a preferred literal the clauses forbid stays false
+    sat, model, _ = s.solve([1], prefer=[2, -3])
+    assert sat and not model[2] and model[3]
+
+
+def _literals(n):
+    return st.integers(-n, n).filter(lambda x: x != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_call_sequences_agree_with_fresh_solvers(data):
+    # one solver answers a sequence of calls whose assumption lists share
+    # prefixes, with clauses added between some of them; a fresh solver
+    # on the same clauses is the referee of every answer
+    n = data.draw(st.integers(2, 6))
+    clause = st.lists(_literals(n), min_size=1, max_size=3)
+    clauses = data.draw(st.lists(clause, max_size=12))
+    s = make_solver(clauses)
+    assumps: list[int] = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        if data.draw(st.booleans()):
+            extra = data.draw(clause)
+            clauses.append(extra)
+            s.add_clause(extra)
+        keep = data.draw(st.integers(0, len(assumps)))
+        assumps = assumps[:keep] + data.draw(st.lists(_literals(n), max_size=4))
+        prefer = data.draw(st.lists(_literals(n), max_size=3))
+        sat, model, core = s.solve(assumps, prefer=prefer)
+        assert sat == make_solver(clauses).solve(assumps)[0]
+        if sat:
+            assert all(any(model[abs(l)] == (l > 0) for l in cl)
+                       for cl in clauses + [[a] for a in assumps])
+        else:
+            assert set(core) <= set(assumps)
+            assert not make_solver(clauses).solve(core)[0]

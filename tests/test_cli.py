@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import CONSTANT_MODEL, MHS_MODEL, SELFDET_MODEL
+from dlxplain.cdcl import Solver
 from dlxplain.cli import main
 
 
@@ -103,6 +104,23 @@ def test_explain_one_shot_modes(mhs_files, capsys):
     assert jlines(out)[0]["features"] in (["x1", "x3"], ["x2", "x3"])
 
 
+def test_one_cxp_leaves_its_throwaway_session_unswept(mhs_files, capsys,
+                                                     monkeypatch):
+    # each one-shot instance gets a fresh session that is dropped after
+    # its record, so sweeping it would be wasted work
+    sweeps = []
+    real = Solver.simplify
+    monkeypatch.setattr(Solver, "simplify",
+                        lambda self: sweeps.append(1) or real(self))
+    model, insts = mhs_files
+    code, out, _ = run(
+        capsys, "explain", "--model", model, "--instances", insts,
+        "--mode", "one-cxp", "--format", "json-lines",
+    )
+    assert code == 0 and len(jlines(out)) == 2
+    assert sweeps == []
+
+
 def test_explain_horn_mode(tmp_path, capsys):
     model = tmp_path / "m.dl"
     model.write_text(SELFDET_MODEL)
@@ -158,6 +176,16 @@ def test_alternative_rejects_multiclass(tmp_path, capsys):
     )
     assert code == 2
     assert "binary" in err
+
+
+def test_horn_rejects_alternative_encoding(mhs_files, capsys):
+    model, insts = mhs_files
+    code, out, err = run(
+        capsys, "explain", "--model", model, "--instances", insts,
+        "--mode", "horn", "--encoding", "alternative",
+    )
+    assert code == 2 and out == ""
+    assert "horn uses no encoding" in err
 
 
 def test_json_output_deterministic(mhs_files, capsys):
