@@ -70,11 +70,11 @@ def _emit(record: dict, args: argparse.Namespace, out=None) -> None:
 
 
 def _load(args: argparse.Namespace) -> tuple[DecisionList, list[Instance]]:
-    dl = parse_model(Path(args.model).read_text(encoding="utf-8"))
+    dl = parse_model(Path(args.model).read_text(encoding="utf-8-sig"))
     instances: list[Instance] = []
     if args.instances:
         instances = parse_instances(
-            Path(args.instances).read_text(encoding="utf-8"), dl.space
+            Path(args.instances).read_text(encoding="utf-8-sig"), dl.space
         )
     return dl, instances
 
@@ -144,10 +144,7 @@ def _one_shot_record(args, dl, idx, inst):
             if args.mode == "one-axp":
                 expl = one_axp(enc, session, deadline=deadline)
             else:
-                # the session is dropped afterwards, so its clause-D
-                # clauses need no retirement sweep
-                expl = one_cxp(enc, session, deadline=deadline,
-                               selector=session.new_selector())
+                expl = one_cxp(enc, session, deadline=deadline)
             record["kind"] = expl.kind
             record["features"] = _feature_names(dl, expl.features)
         except NoCxpExists:

@@ -35,11 +35,11 @@ class Explainer:
     Hard clauses depend only on the model and the predicted class, so the
     session of a class can serve every instance of that class: the first
     instance encodes and loads them, and every later one only gets its own
-    softs.  The engines pin an instance through assumptions and add
-    clauses only under a selector they retire before returning (an lbx
-    run holds one for the whole run), and each retirement sweeps those
-    clauses out again.  An enumeration reports a sorted set, so the runs
-    of other instances on the same session cannot change it.
+    softs.  The engines pin an instance through assumptions.  Only an lbx
+    run adds clauses, its blocking clauses, under one selector that it
+    retires before returning, and the retirement sweeps them out again.
+    An enumeration reports a sorted set, so the runs of other instances
+    on the same session cannot change it.
     """
 
     def __init__(self, dl: DecisionList, encode=encode_explanation_query):
@@ -189,21 +189,21 @@ def enumerate_cxp_lbx(
     session: OracleSession,
     deadline: float | None = None,
 ) -> ExplanationReport:
-    """All CXps by repeated single-CXp extraction under one run-wide
-    selector: the last clause-D clause of each extraction is that CXp's
-    blocking clause.  The selector is retired at the end, however the run
-    ends, so the session can serve other instances."""
+    """All CXps by repeated single-CXp extraction, blocking each one under
+    a run-wide selector.  The selector is retired at the end, however the
+    run ends, so the session can serve other instances."""
     start = time.monotonic()
     report = ExplanationReport("lbx")
     selector = session.new_selector()
     try:
         while True:
             try:
-                cxp = one_cxp(enc, session, deadline=deadline,
-                              selector=selector)
+                cxp = one_cxp(enc, session, deadline=deadline).features
             except NoCxpExists:
                 break
-            report.cxps.append(cxp.features)
+            report.cxps.append(cxp)
+            session.add_clause([enc.soft[j] for j in sorted(cxp)],
+                               selector=selector)
     except OracleTimeout:
         report.complete = False
     finally:

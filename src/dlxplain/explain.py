@@ -2,10 +2,11 @@
 (an MCS), plus the reduction procedure used on dual candidates during
 enumeration.
 
-`one_axp` and `reduce_dual` share one deletion loop.  It skips the oracle
-call of every step that a known explanation of the other kind already
-decides (MCS-guided MUS extraction, Bacchus & Katsirelos, CAV 2015), so
-the enumerator's reductions get cheaper as its dual family grows.
+`one_axp`, `one_cxp` and `reduce_dual` share one deletion loop, which
+adds no clause and no variable to the session.  It skips the oracle call
+of every step that a known explanation of the other kind already decides
+(MCS-guided MUS extraction, Bacchus & Katsirelos, CAV 2015), so the
+enumerator's reductions get cheaper as its dual family grows.
 
 All engines traverse soft literals in ascending feature order, so results
 are deterministic for a given model and instance.
@@ -51,7 +52,8 @@ def _delete(session, softs, kind, feats, known, deadline) -> frozenset[int]:
 
     Every AXp hits every CXp, so a trial set that misses a member of
     `known` (explanations of the other kind) is no explanation: that step
-    keeps its feature without an oracle call.  An unsatisfiable AXp step
+    keeps its feature without an oracle call, and so does the step to the
+    empty CXp, which leaves the instance pinned.  An unsatisfiable AXp step
     also drops every later feature outside the returned core.
     """
     current = set(feats)
@@ -59,7 +61,8 @@ def _delete(session, softs, kind, feats, known, deadline) -> frozenset[int]:
         if j not in current:
             continue
         trial = current - {j}
-        if any(d.isdisjoint(trial) for d in known):
+        if (any(d.isdisjoint(trial) for d in known)
+                or not trial and kind == CXP):
             continue
         res = _query(session, softs, kind, trial, deadline)
         if res.sat != (kind == CXP):
@@ -88,42 +91,16 @@ def one_cxp(
     enc: Encoding,
     session: OracleSession,
     deadline: float | None = None,
-    selector: int | None = None,
 ) -> Explanation:
-    """One contrastive explanation via satisfiable-subset growing with the
-    clause-D step: each round adds the disjunction of the still-falsified
-    soft literals under `selector` and asks for a model satisfying one more
-    of them.  Every solve prefers the instance's values, which keeps the
-    falsified set small.
-
-    The falsified set only shrinks, so the last clause-D clause is the
-    returned CXp's blocking clause and every earlier one is implied by it.
-    Under a caller's selector the clauses stay until that caller retires
-    it, also after an OracleTimeout, so later calls under it never return
-    this CXp again.  Without one, a throwaway selector is allocated and
-    retired before returning.
-    """
+    """Deletion-based search for one contrastive explanation: the softs
+    falsified by one model that prefers the instance's values seed it.
+    Adds no clause and no variable to the session."""
     softs = list(enc.soft)
     res = session.solve((), deadline=deadline, prefer=softs)
     if not res.sat:
         raise NoCxpExists("hard clauses are unsatisfiable; prediction is fixed")
-    sel = session.new_selector() if selector is None else selector
-    try:
-        while True:
-            falsified = [j for j, l in enumerate(softs) if not res.lit_true(l)]
-            session.add_clause([softs[j] for j in falsified], selector=sel)
-            if not falsified:
-                break
-            res = session.solve(
-                [l for l in softs if res.lit_true(l)], deadline=deadline,
-                prefer=softs,
-            )
-            if not res.sat:
-                break
-    finally:
-        if selector is None:
-            session.retire_selector(sel)
-    return Explanation(CXP, frozenset(falsified))
+    seed = [j for j, l in enumerate(softs) if not res.lit_true(l)]
+    return Explanation(CXP, _delete(session, softs, CXP, seed, (), deadline))
 
 
 def reduce_dual(

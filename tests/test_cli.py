@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,25 @@ def test_one_cxp_leaves_its_throwaway_session_unswept(mhs_files, capsys,
     )
     assert code == 0 and len(jlines(out)) == 2
     assert sweeps == []
+
+
+def test_byte_order_marked_files_read_like_plain_ones(mhs_files, tmp_path,
+                                                     capsys):
+    # spreadsheet tools save CSVs with a UTF-8 byte-order mark
+    model, insts = mhs_files
+    marked = []
+    for path in (model, insts):
+        copy = tmp_path / f"bom-{Path(path).name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        marked.append(str(copy))
+    outputs = []
+    for m, i in ((model, insts), marked):
+        for command in (["classify"], ["explain", "--mode", "enum-lbx"]):
+            code, out, err = run(capsys, *command, "--model", m,
+                                 "--instances", i, "--format", "json-lines")
+            assert code == 0, err
+            outputs.append(out)
+    assert outputs[:2] == outputs[2:]
 
 
 def test_explain_horn_mode(tmp_path, capsys):

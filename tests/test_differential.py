@@ -69,7 +69,8 @@ def decision_lists(draw):
 def _check_engines(encode, dl, insts):
     """Every enumeration mode through one `Explainer`, whose class sessions
     all instances and modes share; the one-shot engines on a fresh
-    session.  The Explainer's query equals a fresh encoding."""
+    session, and `one_cxp` on the shared one too, leaving either as big as
+    it found it.  The Explainer's query equals a fresh encoding."""
     explainer = Explainer(dl, encode)
     for inst in insts:
         axps, cxps = set(bf_all_axps(dl, inst)), set(bf_all_cxps(dl, inst))
@@ -85,10 +86,13 @@ def _check_engines(encode, dl, insts):
         assert set(enumerate_cxp_lbx(enc, shared).cxps) == cxps
         session = load_encoding(enc)
         assert one_axp(enc, session).features in axps
-        try:
-            assert one_cxp(enc, session).features in cxps
-        except NoCxpExists:
-            assert not cxps
+        for ses in (session, shared):
+            size = ses.solver.nvars, len(ses.solver.clauses)
+            try:
+                assert one_cxp(enc, ses).features in cxps
+            except NoCxpExists:
+                assert not cxps
+            assert (ses.solver.nvars, len(ses.solver.clauses)) == size
 
 
 @settings(max_examples=300, deadline=None)

@@ -296,8 +296,8 @@ def test_enumeration_respects_deadline():
 
 
 def test_lbx_run_adds_one_variable_and_no_clauses_to_its_session():
-    # the whole run works under one selector, the last clause-D clause of
-    # each CXp blocks it, and the retirement sweeps them all out at once
+    # the whole run blocks its CXps under one selector, and the
+    # retirement sweeps every blocking clause out at once
     p = GeneratorParams(seed=4, num_features=6, domain_size=3, num_rules=20,
                         max_antecedent_len=3, num_classes=2)
     dl = generate_random_dl(p)

@@ -67,26 +67,39 @@ def test_one_cxp_no_cxp_exists(constant_dl):
         one_cxp(enc, ses)
 
 
-def test_one_cxp_under_a_caller_selector_blocks_its_answer(mhs_dl, mhs_instance):
-    # the last clause-D clause stays under the caller's selector, so the
-    # next call under it finds another CXp; retiring it frees the session
-    enc, ses = _session(mhs_dl, mhs_instance)
-    valid = bf_all_cxps(mhs_dl, mhs_instance)
-    sel = ses.new_selector()
-    first = one_cxp(enc, ses, selector=sel).features
-    second = one_cxp(enc, ses, selector=sel).features
-    assert ses.selectors == [sel]
-    assert {first, second} <= valid and first != second
-    with pytest.raises(NoCxpExists):
-        one_cxp(enc, ses, selector=sel)
-    ses.retire_selector(sel)
-    assert not ses.selectors
-    assert one_cxp(enc, ses).features in valid
+def _clause_set(solver):
+    return sorted(sorted(c) for c in solver.clauses)
+
+
+def test_one_cxp_leaves_its_session_as_it_found_it(mhs_dl, mhs_instance,
+                                                   dl00, dl00_instance):
+    # deletion pins features through assumptions only: no clause, no
+    # variable and no selector outlives the call
+    for dl, inst in ((mhs_dl, mhs_instance), (dl00, dl00_instance)):
+        enc, ses = _session(dl, inst)
+        solver = ses.solver
+        nvars, clauses = solver.nvars, _clause_set(solver)
+        assert one_cxp(enc, ses).features in bf_all_cxps(dl, inst)
+        assert solver.nvars == nvars
+        assert _clause_set(solver) == clauses
+        assert ses.selectors == []
+
+
+def test_deletion_skips_the_empty_cxp_trial(dl00, dl00_instance):
+    # releasing no feature leaves the instance pinned, which can never
+    # change the prediction, so that step needs no oracle call
+    enc, ses = _session(dl00, dl00_instance)
+    before = ses.stats.calls
+    assert one_cxp(enc, ses).features in {frozenset({2}), frozenset({3})}
+    assert ses.stats.calls - before == 1
+    before = ses.stats.calls
+    assert reduce_dual(enc, ses, CXP, {3}).features == frozenset({3})
+    assert ses.stats.calls - before == 1
 
 
 def test_one_cxp_session_reusable_after_call(mhs_dl, mhs_instance):
-    # the throwaway clause-D group is retired, so later queries on the
-    # session still see the original hard clauses only
+    # one_cxp adds nothing to the session, so later queries on it still
+    # see the original hard clauses only
     enc, ses = _session(mhs_dl, mhs_instance)
     valid = bf_all_cxps(mhs_dl, mhs_instance)
     assert one_cxp(enc, ses).features in valid
