@@ -57,13 +57,19 @@ class VarMap:
 
 @dataclass
 class Encoding:
-    """Hard clauses, ordered soft unit literals and their provenance."""
+    """Hard clauses for a predicted class, the instance point they are
+    asked about, and the point's soft unit literals, one per feature in
+    feature order (derived from the point, never passed in)."""
 
     varmap: VarMap
     hard: list[list[int]]
-    soft: list[int]
     dl: DecisionList
     pred_class: int
+    point: tuple[int, ...]
+    soft: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.soft = [self.varmap.b[(j, v)] for j, v in enumerate(self.point)]
 
 
 def _alloc_feature_vars(dl: DecisionList, vm: VarMap) -> None:
@@ -82,11 +88,6 @@ def _exactly_one_clauses(dl: DecisionList, vm: VarMap) -> list[list[int]]:
                 if u < w:
                     out.append([-vm.b[(j, u)], -vm.b[(j, w)]])
     return out
-
-
-def _softs(vm: VarMap, point) -> list[int]:
-    """One unit literal per feature, pinning it to the point's value."""
-    return [vm.b[(j, v)] for j, v in enumerate(point)]
 
 
 def _literal_var(vm: VarMap, feature: int, equal: bool, value: int) -> int:
@@ -141,7 +142,7 @@ def encode_explanation_query(dl: DecisionList, inst: Instance) -> Encoding:
         # the default must not fire: some other-class rule must hold
         hard.append(list(vm.t.values()))
 
-    return Encoding(vm, hard, _softs(vm, inst.point), dl, c)
+    return Encoding(vm, hard, dl, c, inst.point)
 
 
 def _sequential_plan(dl: DecisionList, pred: int):
@@ -210,7 +211,7 @@ def encode_alternative(dl: DecisionList, inst: Instance) -> Encoding:
         prev_q = qv
     hard.append([-prev_q])
 
-    return Encoding(vm, hard, _softs(vm, inst.point), dl, c)
+    return Encoding(vm, hard, dl, c, inst.point)
 
 
 def encode_dlsat(dl: DecisionList, target: int) -> tuple[VarMap, list[list[int]]]:

@@ -16,10 +16,11 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .core import AXP, CXP, DecisionList, Instance, classify
-from .encoding import Encoding, _softs, encode_explanation_query
+from .encoding import Encoding, encode_explanation_query
 from .explain import (
     ContractError,
     NoCxpExists,
+    _features,
     _query,
     load_encoding,
     one_cxp,
@@ -54,7 +55,7 @@ class Explainer:
             enc = self.encode(self.dl, inst)
             self.sessions[cls] = (enc, load_encoding(enc))
         enc, session = self.sessions[cls]
-        return replace(enc, soft=_softs(enc.varmap, inst.point)), session
+        return replace(enc, point=inst.point), session
 
 
 class HittingSetOracle:
@@ -72,7 +73,8 @@ class HittingSetOracle:
         self.universe = sorted(universe)
         self.session = OracleSession()
         self.elem_var = {e: self.session.new_var() for e in self.universe}
-        self.sets_to_hit: list[frozenset] = []
+        # every set-to-hit, listed under each of its elements
+        self.sets_with: dict = {e: [] for e in self.universe}
 
     def add_set(self, s) -> None:
         """Register a new set that every future answer must intersect."""
@@ -81,7 +83,8 @@ class HittingSetOracle:
             raise ContractError("an empty set-to-hit is unhittable")
         if not s <= set(self.universe):
             raise ContractError(f"set {sorted(s)} leaves the universe")
-        self.sets_to_hit.append(s)
+        for e in s:
+            self.sets_with[e].append(s)
         self.session.add_clause([self.elem_var[e] for e in sorted(s)])
 
     def block(self, s) -> None:
@@ -97,7 +100,7 @@ class HittingSetOracle:
             return None
         answer = {e for e in self.universe if res.lit_true(self.elem_var[e])}
         for e in sorted(answer):
-            if all(len(s & answer) > 1 for s in self.sets_to_hit if e in s):
+            if all(len(s & answer) > 1 for s in self.sets_with[e]):
                 answer.remove(e)
         return frozenset(answer)
 
@@ -147,8 +150,7 @@ def enumerate_marco(
         raise ValueError(f"unknown target kind {target!r}")
     start = time.monotonic()
     report = ExplanationReport(f"marco-{target}")
-    softs = list(enc.soft)
-    mhs = HittingSetOracle(range(len(softs)))
+    mhs = HittingSetOracle(range(len(enc.point)))
     dual = CXP if target == AXP else AXP
     found: dict[str, list[frozenset]] = {AXP: [], CXP: []}
 
@@ -157,17 +159,13 @@ def enumerate_marco(
             h = mhs.next(deadline=deadline)
             if h is None:
                 break
-            res = _query(session, softs, target, h, deadline)
+            res = _query(enc, session, target, h, deadline)
             if res.sat == (target == CXP):
                 found[target].append(h)  # minimal by hitting-set minimality
                 mhs.block(h)
                 continue
-            if res.sat:
-                # the softs this counterexample falsifies seed a CXp
-                seed = {j for j, l in enumerate(softs) if not res.lit_true(l)}
-            else:
-                seed = {softs.index(l) for l in res.core}
-            expl = reduce_dual(enc, session, dual, seed,
+            # a counterexample's falsified softs seed a CXp, a core an AXp
+            expl = reduce_dual(enc, session, dual, _features(enc, res),
                                deadline=deadline, known=found[target])
             found[dual].append(expl.features)
             if not expl.features:

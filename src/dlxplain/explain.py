@@ -8,8 +8,12 @@ of every step that a known explanation of the other kind already decides
 (MCS-guided MUS extraction, Bacchus & Katsirelos, CAV 2015), so the
 enumerator's reductions get cheaper as its dual family grows.
 
-All engines traverse soft literals in ascending feature order, so results
-are deterministic for a given model and instance.
+The engines speak features.  `_query` is the one oracle entry: it turns
+a feature set into assumptions on the `Encoding`'s soft literals and
+prefers the instance's point.  `_features` is the one reader: it turns an
+answer back into the features it drops.  Deletion runs in ascending
+feature order, so results are deterministic for a given model and
+instance.
 """
 
 from __future__ import annotations
@@ -36,17 +40,27 @@ def load_encoding(enc: Encoding) -> OracleSession:
     return session
 
 
-def _query(session, softs, kind, feats, deadline):
+def _query(enc, session, kind, feats, deadline):
     """Solve with the softs of `feats` fixed (AXp) or of every other
     feature fixed (CXp), preferring the instance's values for the rest.
     `feats` is a (not necessarily minimal) explanation iff the answer is
     UNSAT for an AXp and SAT for a CXp."""
+    softs = enc.soft
     fixed = feats if kind == AXP else set(range(len(softs))) - set(feats)
     return session.solve([softs[j] for j in sorted(fixed)], deadline=deadline,
                          prefer=softs)
 
 
-def _delete(session, softs, kind, feats, known, deadline) -> frozenset[int]:
+def _features(enc, res) -> set[int]:
+    """The features whose soft a SAT model falsifies, or whose soft is in
+    an UNSAT core."""
+    if res.sat:
+        return {j for j, l in enumerate(enc.soft) if not res.lit_true(l)}
+    core = set(res.core)
+    return {j for j, l in enumerate(enc.soft) if l in core}
+
+
+def _delete(enc, session, kind, feats, known, deadline) -> frozenset[int]:
     """Deletion in ascending feature order: drop each feature whose removal
     leaves an explanation of `kind`.
 
@@ -64,13 +78,12 @@ def _delete(session, softs, kind, feats, known, deadline) -> frozenset[int]:
         if (any(d.isdisjoint(trial) for d in known)
                 or not trial and kind == CXP):
             continue
-        res = _query(session, softs, kind, trial, deadline)
+        res = _query(enc, session, kind, trial, deadline)
         if res.sat != (kind == CXP):
             continue
         current = trial
         if kind == AXP:
-            core = set(res.core)
-            current = {i for i in trial if i < j or softs[i] in core}
+            current = {i for i in trial if i < j} | _features(enc, res)
     return frozenset(current)
 
 
@@ -81,9 +94,8 @@ def one_axp(
 ) -> Explanation:
     """Deletion-based linear search for one abductive explanation, over
     all features with no known CXps."""
-    softs = list(enc.soft)
     return Explanation(
-        AXP, _delete(session, softs, AXP, range(len(softs)), (), deadline)
+        AXP, _delete(enc, session, AXP, range(len(enc.point)), (), deadline)
     )
 
 
@@ -95,12 +107,11 @@ def one_cxp(
     """Deletion-based search for one contrastive explanation: the softs
     falsified by one model that prefers the instance's values seed it.
     Adds no clause and no variable to the session."""
-    softs = list(enc.soft)
-    res = session.solve((), deadline=deadline, prefer=softs)
+    res = _query(enc, session, CXP, range(len(enc.point)), deadline)
     if not res.sat:
         raise NoCxpExists("hard clauses are unsatisfiable; prediction is fixed")
-    seed = [j for j, l in enumerate(softs) if not res.lit_true(l)]
-    return Explanation(CXP, _delete(session, softs, CXP, seed, (), deadline))
+    seed = _features(enc, res)
+    return Explanation(CXP, _delete(enc, session, CXP, seed, (), deadline))
 
 
 def reduce_dual(
@@ -117,8 +128,7 @@ def reduce_dual(
     and the result is the same as without them."""
     if kind not in (AXP, CXP):
         raise ValueError(f"unknown explanation kind {kind!r}")
-    softs = list(enc.soft)
     cand = frozenset(candidate)
-    if _query(session, softs, kind, cand, deadline).sat != (kind == CXP):
+    if _query(enc, session, kind, cand, deadline).sat != (kind == CXP):
         raise ContractError(f"candidate {sorted(cand)} is not a valid {kind} seed")
-    return Explanation(kind, _delete(session, softs, kind, cand, known, deadline))
+    return Explanation(kind, _delete(enc, session, kind, cand, known, deadline))

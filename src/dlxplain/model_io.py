@@ -9,8 +9,9 @@ Model text format (UTF-8, line oriented):
     rule : <name><op><value> [& <name><op><value>]* => <class>
     default => <class>
 
-with <op> one of `=`, `!=`.  Feature declaration order fixes the feature
-order; the default line appears exactly once, last.
+with <op> one of `=`, `!=`.  A keyword ends at whitespace, `:`, `=>` or
+the end of its line.  Feature declaration order fixes the feature order;
+the default line appears exactly once, last.
 """
 
 from __future__ import annotations
@@ -85,8 +86,11 @@ def parse_model(text: str) -> DecisionList:
             continue
         if default is not None:
             raise ParseError("the default rule must be the last entry", lineno)
+        # a keyword counts only as a whole word, ended by whitespace, ':',
+        # '=>' or the line's end
+        keyword = re.split(r"\s|:|=>", line, maxsplit=1)[0]
         try:
-            if line.startswith("feature"):
+            if keyword == "feature":
                 head, _, body = line.partition(":")
                 name = head[len("feature"):].strip()
                 if not name:
@@ -97,12 +101,12 @@ def parse_model(text: str) -> DecisionList:
                     raise ParseError("feature declared after classes/rules", lineno)
                 feature_names.append(name)
                 domains.append(tuple(_split_decl(body, "value", lineno)))
-            elif line.startswith("classes"):
+            elif keyword == "classes":
                 if classes is not None:
                     raise ParseError("duplicate classes declaration", lineno)
                 _, _, body = line.partition(":")
                 classes = _split_decl(body, "class", lineno)
-            elif line.startswith("rule"):
+            elif keyword == "rule":
                 _, _, body = line.partition(":")
                 lhs, sep, cls = body.partition("=>")
                 if not sep:
@@ -111,7 +115,7 @@ def parse_model(text: str) -> DecisionList:
                 lhs = lhs.strip()
                 lits = [parse_literal(tok, lineno) for tok in lhs.split("&")] if lhs else []
                 rules.append(Rule(tuple(lits), sp.class_index(cls.strip())))
-            elif line.startswith("default"):
+            elif keyword == "default":
                 _, sep, cls = line.partition("=>")
                 if not sep:
                     raise ParseError("default without '=>'", lineno)

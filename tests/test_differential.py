@@ -29,7 +29,7 @@ from dlxplain import (
     one_cxp,
 )
 from dlxplain.core import AXP, CXP
-from dlxplain.explain import NoCxpExists
+from dlxplain.explain import NoCxpExists, _features, _query
 
 
 @st.composite
@@ -70,12 +70,14 @@ def _check_engines(encode, dl, insts):
     """Every enumeration mode through one `Explainer`, whose class sessions
     all instances and modes share; the one-shot engines on a fresh
     session, and `one_cxp` on the shared one too, leaving either as big as
-    it found it.  The Explainer's query equals a fresh encoding."""
+    it found it.  The Explainer's query equals a fresh encoding of the
+    instance's point."""
     explainer = Explainer(dl, encode)
     for inst in insts:
         axps, cxps = set(bf_all_axps(dl, inst)), set(bf_all_cxps(dl, inst))
         enc, shared = explainer.query(inst)
         fresh = encode(dl, inst)
+        assert enc.point == fresh.point == inst.point
         assert (enc.hard, enc.soft, enc.varmap, enc.pred_class) == \
             (fresh.hard, fresh.soft, fresh.varmap, fresh.pred_class)
         for target in (AXP, CXP):
@@ -95,14 +97,49 @@ def _check_engines(encode, dl, insts):
             assert (ses.solver.nvars, len(ses.solver.clauses)) == size
 
 
+def _instances(data, dl):
+    points = st.tuples(*(st.integers(0, dl.space.domain_size(j) - 1)
+                         for j in range(dl.space.num_features)))
+    return [Instance(p) for p in data.draw(
+        st.lists(points, min_size=2, max_size=4), label="instances")]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_engines_match_bruteforce_on_arbitrary_shapes(data):
     dl = data.draw(decision_lists(), label="model")
-    points = st.tuples(*(st.integers(0, dl.space.domain_size(j) - 1)
-                         for j in range(dl.space.num_features)))
-    insts = [Instance(p) for p in data.draw(
-        st.lists(points, min_size=2, max_size=4), label="instances")]
+    insts = _instances(data, dl)
     _check_engines(encode_explanation_query, dl, insts)
     if len(dl.space.classes) == 2:
         _check_engines(encode_alternative, dl, insts)
+
+
+def _check_seeds(data, encode, dl, insts):
+    """`_features` of any query answer is a seed: a model's falsified
+    features hold a CXp (inside `feats` for a CXp query), and a core's
+    features hold an AXp among the fixed ones."""
+    explainer = Explainer(dl, encode)
+    m = dl.space.num_features
+    for inst in insts:
+        axps, cxps = bf_all_axps(dl, inst), bf_all_cxps(dl, inst)
+        enc, session = explainer.query(inst)
+        for kind in (AXP, CXP):
+            feats = data.draw(st.sets(st.integers(0, m - 1)), label=kind)
+            res = _query(enc, session, kind, feats, None)
+            w = _features(enc, res)
+            if res.sat:
+                assert any(y <= w for y in cxps)
+                assert kind == AXP or w <= feats
+            else:
+                assert w <= (feats if kind == AXP else set(range(m)) - feats)
+                assert any(x <= w for x in axps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_query_answers_read_as_seeds_on_arbitrary_shapes(data):
+    dl = data.draw(decision_lists(), label="model")
+    insts = _instances(data, dl)
+    _check_seeds(data, encode_explanation_query, dl, insts)
+    if len(dl.space.classes) == 2:
+        _check_seeds(data, encode_alternative, dl, insts)

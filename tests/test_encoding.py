@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from dlxplain import (
@@ -252,3 +254,10 @@ def test_soft_clause_count_and_order(dl00, dl00_instance):
     assert len(enc.soft) == dl00.space.num_features
     assert enc.soft == [enc.varmap.b[(j, v)]
                         for j, v in enumerate(dl00_instance.point)]
+    # the softs follow the point they are derived from
+    for encode in (encode_explanation_query, encode_alternative):
+        enc = encode(dl00, dl00_instance)
+        assert enc.point == dl00_instance.point
+        for p in dl00.space.points():
+            assert replace(enc, point=p).soft == \
+                [enc.varmap.b[(j, v)] for j, v in enumerate(p)]

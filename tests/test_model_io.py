@@ -69,6 +69,23 @@ def test_parse_errors_carry_line_numbers():
         parse_model(text)
 
 
+def test_keywords_are_whole_words():
+    good = ["feature x : 0, 1", "feature y : 0, 1", "classes : a, b",
+            "rule : x=1 => a", "default => b"]
+    # a keyword glued to more letters is no keyword
+    typos = ["featurex : 0, 1", "features y: 0, 1", "classesz : a, b",
+             "rules : x=1 => a", "defaults => b"]
+    for i, typo in enumerate(typos):
+        lines = good[:i] + [typo] + good[i + 1:]
+        with pytest.raises(ParseError, match=f"line {i + 1}: unrecognized"):
+            parse_model("\n".join(lines))
+    # whitespace, ':', '=>' or the line's end may follow a keyword
+    dl = parse_model("feature\tx: 0, 1\nfeature y : 0, 1\nclasses: a, b\n"
+                     "rule: x=1 => a\nrule : => b\ndefault=> b")
+    assert dl.space.feature_names == ("x", "y")
+    assert dl.num_rules == 2
+
+
 def test_roundtrip_paper_models(mhs_dl, dl00, selfdet_dl, overlap_dl, constant_dl):
     for dl in (mhs_dl, dl00, selfdet_dl, overlap_dl, constant_dl):
         assert parse_model(serialize_model(dl)) == dl
