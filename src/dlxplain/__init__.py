@@ -61,11 +61,9 @@ from .enumeration import (
 from .horn import (
     HornQuery,
     NotRestricted,
-    build_horn_query,
     check_restricted,
     horn_axp,
     horn_axp_detailed,
-    horn_mcs,
 )
 from .bruteforce import (
     BoundExceeded,

@@ -3,7 +3,7 @@
 Self-contained incremental solver with assumption support and final-conflict
 core extraction, in the MiniSat tradition: two-watched-literal propagation,
 1UIP learning with recursive minimization, EVSIDS branching, phase saving,
-Luby restarts, activity-based learnt-clause reduction and removal of the
+Luby restarts, oldest-first learnt-clause reduction and removal of the
 clauses satisfied at level 0.  Fully deterministic: identical inputs
 produce identical models and cores.
 
@@ -62,8 +62,7 @@ class Solver:
         # per-literal watcher lists of [clause, blocker] pairs
         self.watches: list[list[list]] = []
         self.clauses: list[list[int]] = []
-        self.learnts: list[list[int]] = []
-        self.cla_activity: dict[int, float] = {}
+        self.learnts: list[list[int]] = []        # oldest first
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         # the last call's assumptions; open decision level k holds the k-th
@@ -71,7 +70,6 @@ class Solver:
         self.qhead = 0
         self.var_inc = 1.0
         self.var_decay = 1.0 / 0.95
-        self.cla_inc = 1.0
         self.heap: list[tuple[float, int]] = []
         self.conflicts = 0
         self.propagations = 0
@@ -183,7 +181,6 @@ class Solver:
         kept = []
         for clause in clauses:
             if not true.isdisjoint(clause):
-                self.cla_activity.pop(id(clause), None)
                 continue
             if not false.isdisjoint(clause):
                 clause[:] = [l for l in clause if l not in false]
@@ -300,15 +297,6 @@ class Solver:
             # every queued entry now carries an outdated activity
             self._rebuild_heap()
 
-    def _bump_clause(self, clause: list[int]) -> None:
-        cid = id(clause)
-        act = self.cla_activity.get(cid, 0.0) + self.cla_inc
-        self.cla_activity[cid] = act
-        if act > 1e20:
-            for key in self.cla_activity:
-                self.cla_activity[key] *= 1e-20
-            self.cla_inc *= 1e-20
-
     # ------------------------------------------------------------------
     # conflict analysis
 
@@ -397,8 +385,8 @@ class Solver:
     # learnt-clause housekeeping
 
     def _reduce_db(self) -> None:
-        acts = self.cla_activity
-        self.learnts.sort(key=lambda c: acts.get(id(c), 0.0))
+        # learnts are stored oldest first, so the older half is the front
+        # half; its unlocked clauses of more than two literals go
         locked = {
             id(self.reason[l >> 1]) for l in self.trail
             if self.reason[l >> 1] is not None
@@ -412,8 +400,6 @@ class Solver:
             return
         self.learnts = [c for c in self.learnts if id(c) not in drop]
         self._rebuild_watches()
-        for cid in drop:
-            self.cla_activity.pop(cid, None)
 
     # ------------------------------------------------------------------
     # final-conflict cores
@@ -510,10 +496,8 @@ class Solver:
                 else:
                     self.learnts.append(learnt)
                     self._watch(learnt)
-                    self._bump_clause(learnt)
                     self._enqueue(learnt[0], learnt)
                 self.var_inc *= self.var_decay
-                self.cla_inc *= 1.001
                 if deadline is not None and time.monotonic() > deadline:
                     self._backtrack(0)
                     raise BudgetExceeded("deadline exceeded")

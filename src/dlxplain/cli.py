@@ -349,7 +349,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (ParseError, InputError, MultiClassUnsupported, OSError) as exc:
+    except (ParseError, InputError, MultiClassUnsupported, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,37 +1,37 @@
 """Polynomial abductive explanations for decision lists whose rules are
-pairwise inconsistent (each rule clashes with every earlier one).
+consistent and pairwise inconsistent (each rule clashes with every earlier
+one).
 
-For such models one explanation is a minimal correction subset of a Horn
-system decided by unit propagation alone: variable u_i stands for "feature
-i stays free"; hard clauses force the firing rule's features to be kept
-and, per earlier rule with a different prediction, demand that at least one
-feature carrying a point-inconsistent literal stays kept.  Soft unit
-clauses prefer freeing every feature.
+In such a list every antecedent is a box, the product over features of the
+values that `core.allowed_values` allows, and the boxes are disjoint.  So
+whether pinning a feature set to the instance's point keeps its class is a
+count: a rule fires on as many points of the pinned box as the product of
+its per-feature shares.  One deletion loop over the features then yields a
+minimal AXp, with one such check per feature and no search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .core import AXP, DecisionList, Explanation, Instance, classify, is_self_determining
+from .core import (
+    AXP, DecisionList, Explanation, Instance, allowed_values, classify,
+    is_self_determining,
+)
 
 
 class NotRestricted(ValueError):
-    """The model (or firing situation) is outside the polynomial class."""
-
-
-class ContractViolation(ValueError):
-    """A HornQuery violated its invariants (unsatisfiable hard clauses)."""
+    """The model is outside the polynomial class."""
 
 
 def check_restricted(dl: DecisionList, strict: bool = True) -> bool:
     """Eligibility for the polynomial path.
 
     Always requires every non-default rule to be self-consistent and
-    inconsistent with all of its predecessors.  In strict mode the default
-    must additionally predict a class no other rule predicts; the relaxed
-    mode drops that requirement and is sound when the firing rule is not
-    the default.
+    inconsistent with all of its predecessors, which is all the path needs.
+    Strict mode additionally requires the default to predict a class no
+    other rule predicts.
     """
     if not all(dl.consistent):
         return False
@@ -46,79 +46,46 @@ def check_restricted(dl: DecisionList, strict: bool = True) -> bool:
 
 @dataclass
 class HornQuery:
-    """Horn system over "feature stays free" variables u_1..u_m.
+    """Exact sufficiency check for one instance by counting over boxes.
 
-    Hard clauses hold only negated u literals, so unit propagation decides
-    satisfiability.  Clauses are stored as tuples of feature indices whose
-    u variables appear negated; soft clauses are the positive units u_i in
-    feature order.  checks_used counts propagation-based satisfiability
-    checks.
+    `boxes` pairs each rule's box (per feature, its allowed value set)
+    with whether the rule predicts the instance's class.  checks_used
+    counts calls of `sufficient`.
     """
 
-    num_features: int
-    hard: list[tuple[int, ...]]
-    target_rule: int
+    point: tuple[int, ...]
+    sizes: tuple[int, ...]
+    boxes: list[tuple[bool, list[set[int]]]]
+    default_agrees: bool
     checks_used: int = 0
 
-    def up_satisfiable(self, forced_true: frozenset[int]) -> bool:
-        """Unit propagation check: with u_i true for i in forced_true and
-        every other u free, all-negative clauses are satisfiable unless one
-        is fully forced; no search happens."""
+    def _share(self, box: list[set[int]], pinned: set[int]) -> int:
+        # points of the pinned box inside this rule's box
+        n = 1
+        for j, allowed in enumerate(box):
+            if j not in pinned:
+                n *= len(allowed)
+            elif self.point[j] not in allowed:
+                return 0
+        return n
+
+    def sufficient(self, pinned: set[int]) -> bool:
+        """True iff every point agreeing with the instance on `pinned`
+        gets the instance's class."""
         self.checks_used += 1
-        return not any(
-            all(i in forced_true for i in clause) for clause in self.hard
-        )
-
-
-def _conflict_features(rule, point) -> tuple[int, ...]:
-    """Features on which the rule carries a literal falsified by the point."""
-    return tuple(sorted({
-        l.feature for l in rule.antecedent if not l.holds(point)
-    }))
-
-
-def build_horn_query(dl: DecisionList, inst: Instance) -> HornQuery:
-    """Constraints for one explanation of the instance's prediction."""
-    c, k = classify(dl, inst.point)
-    hard: list[tuple[int, ...]] = []
-    if k != dl.default_index:
-        # earlier rules with a different prediction must stay inconsistent
-        for j in range(k):
-            if dl.rules[j].prediction != c and dl.consistent[j]:
-                hard.append(_conflict_features(dl.rules[j], inst.point))
-        # the firing rule's own features must all be kept
-        for feat in sorted(dl.rules[k].features):
-            hard.append((feat,))
-    else:
-        # default fired: every rule must stay inconsistent
-        for j in range(dl.num_rules):
-            if dl.consistent[j]:
-                hard.append(_conflict_features(dl.rules[j], inst.point))
-    return HornQuery(dl.space.num_features, hard, k)
-
-
-def horn_mcs(query: HornQuery) -> frozenset[int]:
-    """A minimal correction subset of the soft units u_1..u_m.
-
-    Linear search: the initial propagation check certifies the hard
-    clauses; every soft unit is then offered once, largest feature first,
-    and kept when jointly satisfiable, so corrections gravitate to the
-    smallest feature indices.  Exactly num_features + 1 checks.
-    """
-    if not query.up_satisfiable(frozenset()):
-        raise ContractViolation("hard clauses are unsatisfiable on their own")
-    kept: set[int] = set()
-    removed: set[int] = set()
-    for i in reversed(range(query.num_features)):
-        if query.up_satisfiable(frozenset(kept | {i})):
-            kept.add(i)
-        else:
-            removed.add(i)
-    return frozenset(removed)
+        if self.default_agrees:
+            # no point of the pinned box may fire a rule of another class
+            return not any(self._share(b, pinned)
+                           for same, b in self.boxes if not same)
+        # the class's boxes are disjoint, so they cover the pinned box
+        # exactly when their shares add up to its size
+        free = prod(n for j, n in enumerate(self.sizes) if j not in pinned)
+        return sum(self._share(b, pinned)
+                   for same, b in self.boxes if same) == free
 
 
 def horn_axp(dl: DecisionList, inst: Instance) -> Explanation:
-    """One abductive explanation through the Horn correction set."""
+    """One minimal abductive explanation, found without search."""
     expl, _ = horn_axp_detailed(dl, inst)
     return expl
 
@@ -126,16 +93,30 @@ def horn_axp(dl: DecisionList, inst: Instance) -> Explanation:
 def horn_axp_detailed(
     dl: DecisionList, inst: Instance
 ) -> tuple[Explanation, HornQuery]:
-    """Like horn_axp but also returns the solved query, whose checks_used
-    field certifies the unit-propagation budget."""
-    _, k = classify(dl, inst.point)
-    if not check_restricted(dl, strict=True):
-        relaxed = check_restricted(dl, strict=False)
-        if not (relaxed and k != dl.default_index):
-            raise NotRestricted(
-                "rules are not self-determining/consistent, or the default "
-                "fired without the strict class separation"
-            )
-    query = build_horn_query(dl, inst)
-    removed = horn_mcs(query)
-    return Explanation(AXP, removed), query
+    """Like horn_axp but also returns the query, whose checks_used field
+    certifies the budget of one check per feature.
+
+    Features outside the firing rule are offered for deletion first, then
+    the firing rule's own, each largest index first: while the firing
+    antecedent stays pinned the point stays in its box, so the answer is
+    that antecedent whenever the antecedent is itself minimal.
+    """
+    if not check_restricted(dl, strict=False):
+        raise NotRestricted(
+            "a rule is inconsistent or overlaps an earlier rule"
+        )
+    c, k = classify(dl, inst.point)
+    space = dl.space
+    m = space.num_features
+    boxes = [(r.prediction == c,
+              [allowed_values(r.antecedent, space, j) for j in range(m)])
+             for r in dl.rules]
+    query = HornQuery(inst.point, tuple(len(d) for d in space.domains),
+                      boxes, dl.default.prediction == c)
+    firing = (*dl.rules, dl.default)[k].features
+    pinned = set(range(m))
+    for j in sorted(range(m), key=lambda j: (j in firing, -j)):
+        pinned.discard(j)
+        if not query.sufficient(pinned):
+            pinned.add(j)
+    return Explanation(AXP, frozenset(pinned)), query

@@ -267,6 +267,47 @@ def test_simplify_and_learnt_reduction_keep_answers():
                            for cl in full), trial
 
 
+def test_learnt_reduction_drops_the_older_half_in_learnt_order():
+    # a tiny learnt-clause limit makes the solver reduce often; every
+    # reduction must keep the survivors in the order they were learnt and
+    # drop exactly the unlocked clauses of more than two literals among
+    # the older half
+    rng = random.Random(7)
+    n = 40
+    s = make_solver(
+        [[rng.choice((-1, 1)) * v for v in rng.sample(range(1, n + 1), 3)]
+         for _ in range(170)])
+    s.max_learnts = 5
+    born, reductions = [], []
+    analyze, reduce_db = s._analyze, s._reduce_db
+
+    def spy_analyze(conflict):
+        learnt, bt = analyze(conflict)
+        born.append(learnt)
+        return learnt, bt
+
+    def spy_reduce_db():
+        before = list(s.learnts)
+        locked = {id(s.reason[l >> 1]) for l in s.trail
+                  if s.reason[l >> 1] is not None}
+        reduce_db()
+        reductions.append((before, locked, list(s.learnts)))
+
+    s._analyze, s._reduce_db = spy_analyze, spy_reduce_db
+    for _ in range(40):
+        s.solve([rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), 3)])
+    age = {id(c): i for i, c in enumerate(born)}
+    assert len(reductions) >= 3
+    for before, locked, after in reductions:
+        assert [age[id(c)] for c in before] == sorted(age[id(c)] for c in before)
+        old = before[: len(before) // 2]
+        dropped = [c for c in old if id(c) not in locked and len(c) > 2]
+        assert dropped
+        gone = {id(c) for c in dropped}
+        assert [id(c) for c in after] == \
+            [id(c) for c in before if id(c) not in gone]
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_hypothesis_random_formulas(data):

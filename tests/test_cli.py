@@ -155,6 +155,40 @@ def test_explain_horn_mode(tmp_path, capsys):
     assert rec["features"] == ["a", "c", "d"]
 
 
+def test_horn_mode_drops_firing_features_an_axp_does_not_need(tmp_path,
+                                                              capsys):
+    # the model passes even the strict check, yet at (0,0) and (0,1) the
+    # firing antecedent a=0 & b=... is larger than the only AXp {a}
+    model = tmp_path / "m.dl"
+    model.write_text(
+        "feature a : 0, 1\nfeature b : 0, 1\nclasses : neg, pos, other\n"
+        "rule : a=0 & b=0 => neg\nrule : a=0 & b=1 => neg\n"
+        "rule : a=1 => pos\ndefault => other\n"
+    )
+    insts = tmp_path / "i.csv"
+    insts.write_text("a,b\n0,0\n0,1\n1,0\n")
+    code, out, _ = run(
+        capsys, "explain", "--model", str(model), "--instances", str(insts),
+        "--mode", "horn", "--format", "json-lines",
+    )
+    assert code == 0
+    assert [r["features"] for r in jlines(out)] == [["a"], ["a"], ["a"]]
+
+
+@pytest.mark.parametrize("which", ["model", "instances"])
+@pytest.mark.parametrize("command", ["explain", "verify"])
+def test_undecodable_input_files_exit_2(mhs_files, tmp_path, capsys, which,
+                                        command):
+    paths = dict(zip(("model", "instances"), mhs_files))
+    bad = tmp_path / f"bad-{which}"
+    bad.write_bytes(Path(paths[which]).read_bytes() + b"\xff\n")
+    paths[which] = str(bad)
+    code, out, err = run(capsys, command, "--model", paths["model"],
+                         "--instances", paths["instances"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "decode" in err
+
+
 def test_explain_no_cxp_record(tmp_path, capsys):
     model = tmp_path / "m.dl"
     model.write_text(CONSTANT_MODEL)

@@ -1,21 +1,24 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlxplain import (
+    DecisionList,
+    FeatureSpace,
     GeneratorParams,
     Instance,
+    Literal,
+    Rule,
     bf_all_axps,
-    build_horn_query,
     check_restricted,
     encode_explanation_query,
     generate_random_instances,
     generate_restricted_dl,
     horn_axp,
     horn_axp_detailed,
-    horn_mcs,
 )
 from dlxplain.core import classify
 from dlxplain.explain import load_encoding
-from dlxplain.horn import ContractViolation, HornQuery, NotRestricted
+from dlxplain.horn import NotRestricted
 
 
 def test_check_restricted_selfdet_model(selfdet_dl):
@@ -43,14 +46,7 @@ def test_horn_axp_paper_example(selfdet_dl):
     assert selfdet_dl.space.classes[cls] == "pos" and rule == 5
     expl, query = horn_axp_detailed(selfdet_dl, inst)
     assert expl.features == frozenset({0, 2, 3})  # a, c, d
-    assert query.checks_used == selfdet_dl.space.num_features + 1
-
-
-def test_horn_query_structure(selfdet_dl):
-    query = build_horn_query(selfdet_dl, Instance((1, 0, 1, 1)))
-    assert query.target_rule == 5
-    # hitting clauses of the earlier opposite-class rules + forced units
-    assert set(query.hard) == {(0, 2, 3), (0,), (2,), (3,)}
+    assert query.checks_used == selfdet_dl.space.num_features
 
 
 def test_horn_one_rule_literal_example():
@@ -85,58 +81,31 @@ def test_horn_rejects_unrestricted(overlap_dl):
         horn_axp(overlap_dl, inst)
 
 
-def test_horn_relaxed_output_is_sufficient_not_always_minimal(dl00, dl00_instance):
-    # dl00 passes only the relaxed check; with the firing rule non-default
-    # the result pins the whole firing antecedent, which is sufficient for
-    # the prediction though possibly larger than a minimal explanation
-    expl = horn_axp(dl00, dl00_instance)
-    assert expl.features == dl00.rules[5].features
-    enc = encode_explanation_query(dl00, dl00_instance)
-    ses = load_encoding(enc)
-    assert not ses.solve([enc.soft[j] for j in sorted(expl.features)]).sat
+def test_horn_answers_are_minimal_on_dl00(dl00, dl00_instance):
+    # dl00 passes only the relaxed check, and at half its points the
+    # firing antecedent is larger than an AXp: the deletion loop drops
+    # the firing rule's own features too
+    assert horn_axp(dl00, dl00_instance).features == frozenset({2, 3})
+    for point in dl00.space.points():
+        inst = Instance(point)
+        assert horn_axp(dl00, inst).features in bf_all_axps(dl00, inst)
 
 
-def test_horn_relaxed_rejects_default_firing(selfdet_dl):
+def test_horn_default_firing_gives_minimal_axps(selfdet_dl):
     # every point of this model fires a non-default rule; craft a variant
-    # whose default can fire by dropping the last two rules
+    # whose default, predicting a class the rules share, can fire by
+    # dropping the last two rules
     trimmed = type(selfdet_dl)(
         selfdet_dl.space, selfdet_dl.rules[:6], selfdet_dl.default
     )
     assert check_restricted(trimmed, strict=False)
     assert not check_restricted(trimmed, strict=True)
-    default_point = next(
-        p for p in trimmed.space.points()
-        if classify(trimmed, p)[1] == trimmed.default_index
-    )
-    with pytest.raises(NotRestricted):
-        horn_axp(trimmed, Instance(default_point))
-
-
-def test_horn_mcs_no_hard_clauses():
-    q = HornQuery(num_features=4, hard=[], target_rule=0)
-    assert horn_mcs(q) == frozenset()
-    assert q.checks_used == 5
-
-
-def test_horn_mcs_tie_breaks_toward_small_features():
-    q = HornQuery(num_features=2, hard=[(0, 1)], target_rule=0)
-    assert horn_mcs(q) == frozenset({0})
-
-
-def test_horn_mcs_multiple_clauses_minimal():
-    q = HornQuery(num_features=4, hard=[(0, 1), (2, 3)], target_rule=0)
-    mcs = horn_mcs(q)
-    assert mcs == frozenset({0, 2})
-    # minimality: putting any removed unit back breaks some clause
-    for i in mcs:
-        kept = frozenset(range(4)) - mcs | {i}
-        assert any(all(e in kept for e in cl) for cl in q.hard)
-
-
-def test_horn_mcs_contract_violation():
-    q = HornQuery(num_features=2, hard=[()], target_rule=0)
-    with pytest.raises(ContractViolation):
-        horn_mcs(q)
+    fired = set()
+    for point in trimmed.space.points():
+        inst = Instance(point)
+        fired.add(classify(trimmed, point)[1])
+        assert horn_axp(trimmed, inst).features in bf_all_axps(trimmed, inst)
+    assert trimmed.default_index in fired
 
 
 def test_horn_agreement_with_bruteforce_100_models():
@@ -158,7 +127,7 @@ def test_horn_agreement_with_bruteforce_100_models():
         for inst in generate_random_instances(dl, 3, seed + 7000):
             expl, query = horn_axp_detailed(dl, inst)
             assert expl.features in bf_all_axps(dl, inst)
-            assert query.checks_used == m + 1
+            assert query.checks_used == m
         count += 1
 
 
@@ -175,3 +144,50 @@ def test_horn_output_passes_encoder_oracle_checks(selfdet_dl):
         for j in sorted(expl.features):
             rest = [enc.soft[i] for i in sorted(expl.features) if i != j]
             assert ses.solve(rest).sat
+
+
+@st.composite
+def disjoint_rule_lists(draw):
+    """Consistent, pairwise-inconsistent rule lists the generator never
+    makes: the leaves of a random splitting tree, some dropped so the
+    default can fire, in any order.  A split takes one value v off a
+    feature's remaining values, so siblings are one flip apart and carry
+    `x=v` against `x!=v`; classes and the default's class are free."""
+    m = draw(st.integers(1, 5))
+    sizes = [draw(st.integers(2, 3)) for _ in range(m)]
+    k = draw(st.integers(2, 4))
+    leaves = []
+
+    def grow(allowed, lits, depth):
+        open_feats = [j for j in range(m) if len(allowed[j]) > 1]
+        if depth == 3 or not open_feats or depth and draw(st.booleans()):
+            leaves.append(lits)
+            return
+        j = draw(st.sampled_from(open_feats))
+        v = draw(st.sampled_from(sorted(allowed[j])))
+        grow({**allowed, j: {v}}, lits + [Literal(j, True, v)], depth + 1)
+        grow({**allowed, j: allowed[j] - {v}}, lits + [Literal(j, False, v)],
+             depth + 1)
+
+    grow({j: set(range(n)) for j, n in enumerate(sizes)}, [], 0)
+    kept = draw(st.lists(st.sampled_from(leaves), unique_by=id, min_size=1,
+                         max_size=len(leaves)))
+    space = FeatureSpace(
+        tuple(f"x{j}" for j in range(m)),
+        tuple(tuple(str(v) for v in range(n)) for n in sizes),
+        tuple(f"c{c}" for c in range(k)),
+    )
+    rules = tuple(Rule(tuple(lits), draw(st.integers(0, k - 1)))
+                  for lits in kept)
+    return DecisionList(space, rules, Rule((), draw(st.integers(0, k - 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(disjoint_rule_lists())
+def test_horn_answers_are_axps_on_arbitrary_disjoint_lists(dl):
+    assert check_restricted(dl, strict=False)
+    for point in dl.space.points():
+        inst = Instance(point)
+        expl, query = horn_axp_detailed(dl, inst)
+        assert expl.features in bf_all_axps(dl, inst), point
+        assert query.checks_used == dl.space.num_features
