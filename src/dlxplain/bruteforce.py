@@ -2,7 +2,8 @@
 
 Everything here exists to verify the SAT-based machinery on desk-size
 models, not to perform: explanations are checked against their defining
-quantifiers over the whole feature space.
+quantifiers over the whole feature space, and encodings against the
+points their hard clauses should admit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DecisionList, Instance, allowed_values
+from .encoding import Encoding
 
 
 class BoundExceeded(ValueError):
@@ -74,6 +76,32 @@ def rule_table(dl: DecisionList) -> np.ndarray:
     for i in reversed(range(dl.num_rules)):
         table[_rule_mask(dl, dl.rules[i], shape)] = i
     return table
+
+
+def hard_model_points(dl: DecisionList, enc: Encoding) -> frozenset[tuple[int, ...]]:
+    """Points whose definitional extension satisfies every hard clause of
+    `enc`: t[k] is rule k's antecedent, p[n] "rule n fires" and q[n] "a
+    chain rule up to n fires"."""
+    space = dl.space
+    shape = tuple(space.domain_size(j) for j in range(space.num_features))
+    coords = np.indices(shape)
+    fires = rule_table(dl)
+    vm = enc.varmap
+    vals = {var: coords[j] == v for (j, v), var in vm.b.items()}
+    vals.update((var, _rule_mask(dl, dl.rules[k], shape))
+                for k, var in vm.t.items())
+    fired = np.zeros(shape, dtype=bool)
+    for n, var in vm.q.items():  # chain order
+        vals[vm.p[n]] = fires == n
+        fired = fired | vals[vm.p[n]]
+        vals[var] = fired
+    ok = np.ones(shape, dtype=bool)
+    for cl in enc.hard:
+        sat = np.zeros(shape, dtype=bool)
+        for lit in cl:
+            sat |= vals[lit] if lit > 0 else ~vals[-lit]
+        ok &= sat
+    return frozenset(tuple(map(int, p)) for p in np.argwhere(ok))
 
 
 def _region(table: np.ndarray, point, pinned) -> np.ndarray:

@@ -205,6 +205,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    if args.query == "dlsat" and args.encoding != "main":
+        raise InputError(f"--query dlsat has only the main encoding; "
+                         f"drop --encoding {args.encoding}")
     dl, instances = _load(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -273,6 +273,6 @@ def is_self_determining(dl: DecisionList, i: int) -> bool:
 
 def instance_literals(space: FeatureSpace, point: Sequence[int]) -> list[Literal]:
     """The '=' literals pinning every feature to its value, in feature
-    order.  This order is the canonical soft-clause order downstream."""
+    order: the instance as a term."""
     space.validate_point(point)
     return [Literal(j, True, v) for j, v in enumerate(point)]

@@ -7,20 +7,19 @@ soft clauses are the instance literals, one unit per feature.  AXps are
 then MUSes and CXps are MCSes of the pair.
 
 Feature values use one boolean per (feature, value) with an at-least-one
-clause plus pairwise at-most-one clauses.  The explanation query only needs
-"every rule of class c that holds has an earlier rule of another class
-that holds", so it is polarity-reduced (Plaisted & Greenbaum, JSC 1986):
-other-class rules occur only positively and get the one direction
-t -> antecedent, same-class rules get no variable at all, and inconsistent
-rules drop out.  The hard clauses depend only on the predicted class.  The
-sequential and DL-SAT encodings keep full biconditional definitions.
+clause plus pairwise at-most-one clauses.  "No rule of a banned class fires
+first" only needs "every banned rule that holds has an earlier rule of
+another class that holds", so it is polarity-reduced (Plaisted &
+Greenbaum, JSC 1986): other-class rules occur only positively and get the
+one direction t -> antecedent, banned rules get no variable at all, and
+inconsistent rules drop out.  The explanation query bans the predicted
+class, and DL-SAT is the same query with every class but the target
+banned.  Only the sequential encoding keeps biconditional definitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .core import DecisionList, Instance, classify
 
@@ -34,20 +33,17 @@ class VarMap:
     """Roles of the propositional variables, allocated contiguously from 1.
 
     b[(j, v)]  feature j takes value v
-    t[k]       antecedent of rule k holds (dlsat encoding); in the main
-               encoding only other-class consistent rules get one, and it
-               only implies the antecedent
-    s[k]       antecedent of rule k holds (sequential encoding)
+    t[k]       antecedent of consistent rule k holds; the reduced queries
+               give one only to rules of a class they do not ban, and
+               there it only implies the antecedent
     p[k], q[k] "rule k fires the predicted class" / "fired at or before k"
-    fire[k]    rule k is the first to fire (dlsat encoding)
+               (sequential encoding)
     """
 
     b: dict[tuple[int, int], int] = field(default_factory=dict)
     t: dict[int, int] = field(default_factory=dict)
-    s: dict[int, int] = field(default_factory=dict)
     p: dict[int, int] = field(default_factory=dict)
     q: dict[int, int] = field(default_factory=dict)
-    fire: dict[int, int] = field(default_factory=dict)
     var_count: int = 0
 
     def new_var(self) -> int:
@@ -63,7 +59,6 @@ class Encoding:
 
     varmap: VarMap
     hard: list[list[int]]
-    dl: DecisionList
     pred_class: int
     point: tuple[int, ...]
     soft: list[int] = field(init=False)
@@ -99,53 +94,48 @@ def _antecedent_lits(vm: VarMap, rule) -> list[int]:
     return [_literal_var(vm, l.feature, l.equal, l.value) for l in rule.antecedent]
 
 
-def _define_term(vm: VarMap, var: int, rule, hard: list[list[int]]) -> None:
-    """Biconditional var <-> antecedent; an empty antecedent yields a unit."""
-    lits = _antecedent_lits(vm, rule)
-    for lit in lits:
-        hard.append([-var, lit])
-    hard.append([var] + [-lit for lit in lits])
+def _define(var: int, conj: list[int], hard: list[list[int]]) -> None:
+    """Biconditional var <-> AND(conj); an empty conj yields a unit."""
+    hard.extend([-var, lit] for lit in conj)
+    hard.append([var] + [-lit for lit in conj])
 
 
-def _rule_definitions(
-    dl: DecisionList, vm: VarMap, which: dict[int, int], hard: list[list[int]]
-) -> None:
-    for k, var in which.items():
-        if dl.consistent[k]:
-            _define_term(vm, var, dl.rules[k], hard)
-        else:
-            hard.append([-var])  # unsatisfiable antecedent: rule never holds
+def _forbid(dl: DecisionList, banned: set[int]) -> tuple[VarMap, list[list[int]]]:
+    """Clauses whose models are the points where no rule predicting a
+    class in `banned` fires first.
 
-
-def encode_explanation_query(dl: DecisionList, inst: Instance) -> Encoding:
-    """Hard clauses forbidding every same-class rule from firing first,
-    soft units pinning the instance; hard AND soft is unsatisfiable.
-
-    t[k] exists only for consistent rules of another class and implies
-    their antecedent.  A consistent same-class rule becomes the one clause
-    "its antecedent fails, or an earlier other-class rule holds"."""
-    c, _ = classify(dl, inst.point)
+    t[k] exists only for consistent rules of the other classes and implies
+    their antecedent.  A consistent banned rule becomes the one clause
+    "its antecedent fails, or an earlier t holds"; a banned default
+    becomes "some t holds"."""
     vm = VarMap()
     _alloc_feature_vars(dl, vm)
     for k in range(dl.num_rules):
-        if dl.consistent[k] and dl.rules[k].prediction != c:
+        if dl.consistent[k] and dl.rules[k].prediction not in banned:
             vm.t[k] = vm.new_var()
 
     hard = _exactly_one_clauses(dl, vm)
     for k, var in vm.t.items():
         hard.extend([-var, lit] for lit in _antecedent_lits(vm, dl.rules[k]))
-    for k in dl.rules_predicting(c):
-        if dl.consistent[k]:
-            hard.append([-lit for lit in _antecedent_lits(vm, dl.rules[k])]
+    for k, rule in enumerate(dl.rules):
+        if dl.consistent[k] and rule.prediction in banned:
+            hard.append([-lit for lit in _antecedent_lits(vm, rule)]
                         + [var for j, var in vm.t.items() if j < k])
-    if dl.default.prediction == c:
-        # the default must not fire: some other-class rule must hold
+    if dl.default.prediction in banned:
         hard.append(list(vm.t.values()))
+    return vm, hard
 
-    return Encoding(vm, hard, dl, c, inst.point)
+
+def encode_explanation_query(dl: DecisionList, inst: Instance) -> Encoding:
+    """Hard clauses forbidding every rule of the predicted class from
+    firing first, soft units pinning the instance; hard AND soft is
+    unsatisfiable."""
+    c, _ = classify(dl, inst.point)
+    vm, hard = _forbid(dl, {c})
+    return Encoding(vm, hard, c, inst.point)
 
 
-def _sequential_plan(dl: DecisionList, pred: int):
+def _sequential_plan(dl: DecisionList, pred: int) -> tuple[list[int], list[int]]:
     """Rule indices for the sequential encoding: same-class consistent rules
     (the default joins them when it matches), other consistent rules."""
     same = [k for k in dl.rules_predicting(pred) if dl.consistent[k]]
@@ -153,20 +143,19 @@ def _sequential_plan(dl: DecisionList, pred: int):
         k for k in range(dl.num_rules)
         if dl.rules[k].prediction != pred and dl.consistent[k]
     ]
-    default_included = dl.default.prediction == pred
-    if default_included:
+    if dl.default.prediction == pred:
         same.append(dl.default_index)
-    return same, others, default_included
+    return same, others
 
 
 def encode_alternative(dl: DecisionList, inst: Instance) -> Encoding:
     """Sequential (chained) encoding of the same query, binary classes only.
 
-    p[n_r] holds iff rule n_r is the first rule firing the predicted class:
-    no earlier same-class rule fired, its own antecedent holds, and no
-    preceding other-class rule is consistent with the point.  The final
-    hard unit forbids q of the last same-class rule, i.e. demands
-    misclassification, mirroring the main encoding.
+    t[k] <-> antecedent for every consistent rule.  p[n_r] holds iff rule
+    n_r is the first rule firing the predicted class: no earlier same-class
+    rule fired, its own antecedent holds, and no preceding other-class rule
+    holds.  The final hard unit forbids q of the last same-class rule,
+    i.e. demands misclassification, mirroring the main encoding.
     """
     if len(dl.space.classes) != 2:
         raise MultiClassUnsupported(
@@ -174,18 +163,20 @@ def encode_alternative(dl: DecisionList, inst: Instance) -> Encoding:
             f"this one has {len(dl.space.classes)} classes"
         )
     c, _ = classify(dl, inst.point)
-    chain, others, default_included = _sequential_plan(dl, c)
+    chain, others = _sequential_plan(dl, c)
 
     vm = VarMap()
     _alloc_feature_vars(dl, vm)
-    for k in sorted(set(chain + others) - {dl.default_index}):
-        vm.s[k] = vm.new_var()
+    for k in range(dl.num_rules):
+        if dl.consistent[k]:
+            vm.t[k] = vm.new_var()
     for n in chain:
         vm.p[n] = vm.new_var()
         vm.q[n] = vm.new_var()
 
     hard = _exactly_one_clauses(dl, vm)
-    _rule_definitions(dl, vm, vm.s, hard)
+    for k, var in vm.t.items():
+        _define(var, _antecedent_lits(vm, dl.rules[k]), hard)
 
     prev_q: int | None = None
     for n in chain:
@@ -193,14 +184,11 @@ def encode_alternative(dl: DecisionList, inst: Instance) -> Encoding:
         if prev_q is not None:
             conj.append(-prev_q)
         if n != dl.default_index:
-            conj.append(vm.s[n])
-        # every other-class rule listed before n must stay inconsistent
-        conj.extend(-vm.s[k] for k in others if k < n)
-        pv = vm.p[n]
-        for lit in conj:
-            hard.append([-pv, lit])
-        hard.append([pv] + [-lit for lit in conj])
-        qv = vm.q[n]
+            conj.append(vm.t[n])
+        # no other-class rule listed before n may hold
+        conj.extend(-vm.t[k] for k in others if k < n)
+        _define(vm.p[n], conj, hard)
+        pv, qv = vm.p[n], vm.q[n]
         if prev_q is None:
             hard.append([-qv, pv])
             hard.append([qv, -pv])
@@ -211,39 +199,15 @@ def encode_alternative(dl: DecisionList, inst: Instance) -> Encoding:
         prev_q = qv
     hard.append([-prev_q])
 
-    return Encoding(vm, hard, dl, c, inst.point)
+    return Encoding(vm, hard, c, inst.point)
 
 
 def encode_dlsat(dl: DecisionList, target: int) -> tuple[VarMap, list[list[int]]]:
-    """Clauses satisfiable iff some point classifies as `target`."""
+    """Clauses satisfiable iff some point classifies as `target`: the
+    reduced query with every other class banned."""
     if not 0 <= target < len(dl.space.classes):
         raise ValueError(f"unknown class index {target}")
-    vm = VarMap()
-    _alloc_feature_vars(dl, vm)
-    for k in range(dl.num_rules):
-        vm.t[k] = vm.new_var()
-    for k in range(dl.num_rules + 1):
-        vm.fire[k] = vm.new_var()
-
-    clauses = _exactly_one_clauses(dl, vm)
-    _rule_definitions(dl, vm, vm.t, clauses)
-    for k in range(dl.num_rules + 1):
-        # fire[k] <-> rule k holds and no earlier rule holds
-        fv = vm.fire[k]
-        conj = ([vm.t[k]] if k < dl.num_rules else [])
-        conj.extend(-vm.t[j] for j in range(min(k, dl.num_rules)))
-        for lit in conj:
-            clauses.append([-fv, lit])
-        clauses.append([fv] + [-lit for lit in conj])
-
-    firing_target = [
-        vm.fire[k] for k in range(dl.num_rules)
-        if dl.rules[k].prediction == target
-    ]
-    if dl.default.prediction == target:
-        firing_target.append(vm.fire[dl.default_index])
-    clauses.append(firing_target)
-    return vm, clauses
+    return _forbid(dl, set(range(len(dl.space.classes))) - {target})
 
 
 def dump_dimacs(varmap: VarMap, clauses: list[list[int]]) -> str:
@@ -262,67 +226,3 @@ def dump_wcnf(enc: Encoding) -> str:
     for lit in enc.soft:
         lines.append(f"1 {lit} 0")
     return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# exhaustive evaluation support (testing and the verify command)
-
-def _variable_tables(enc: Encoding) -> np.ndarray:
-    """Truth table of every variable under the definitional extension of
-    each feature-space point; shape (var_count + 1, num_points)."""
-    dl = enc.dl
-    space = dl.space
-    shape = tuple(space.domain_size(j) for j in range(space.num_features))
-    coords = np.indices(shape).reshape(space.num_features, -1)
-    npoints = coords.shape[1]
-    vals = np.zeros((enc.varmap.var_count + 1, npoints), dtype=bool)
-
-    for (j, v), var in enc.varmap.b.items():
-        vals[var] = coords[j] == v
-
-    def term_holds(rule) -> np.ndarray:
-        out = np.ones(npoints, dtype=bool)
-        for lit in rule.antecedent:
-            col = coords[lit.feature] == lit.value
-            out &= col if lit.equal else ~col
-        return out
-
-    for k, var in enc.varmap.t.items():
-        vals[var] = term_holds(dl.rules[k]) if dl.consistent[k] else False
-    for k, var in enc.varmap.s.items():
-        vals[var] = term_holds(dl.rules[k]) if dl.consistent[k] else False
-
-    if enc.varmap.p:
-        chain, others, _ = _sequential_plan(dl, enc.pred_class)
-        prev_q = np.zeros(npoints, dtype=bool)
-        for n in chain:
-            pk = ~prev_q
-            if n != dl.default_index:
-                pk = pk & vals[enc.varmap.s[n]]
-            for k in others:
-                if k < n:
-                    pk = pk & ~vals[enc.varmap.s[k]]
-            vals[enc.varmap.p[n]] = pk
-            prev_q = prev_q | pk
-            vals[enc.varmap.q[n]] = prev_q
-    return vals
-
-
-def hard_model_points(enc: Encoding) -> frozenset[tuple[int, ...]]:
-    """Feature-space points whose definitional extension satisfies every
-    hard clause.  Exhaustive; intended for desk-size spaces."""
-    space = enc.dl.space
-    vals = _variable_tables(enc)
-    npoints = vals.shape[1]
-    ok = np.ones(npoints, dtype=bool)
-    for cl in enc.hard:
-        sat = np.zeros(npoints, dtype=bool)
-        for lit in cl:
-            sat |= vals[lit] if lit > 0 else ~vals[-lit]
-        ok &= sat
-    shape = tuple(space.domain_size(j) for j in range(space.num_features))
-    coords = np.indices(shape).reshape(space.num_features, -1)
-    return frozenset(
-        tuple(int(coords[j, i]) for j in range(space.num_features))
-        for i in np.flatnonzero(ok)
-    )

@@ -4,8 +4,15 @@ from pathlib import Path
 import pytest
 
 from conftest import CONSTANT_MODEL, MHS_MODEL, SELFDET_MODEL
+from dlxplain import (
+    GeneratorParams,
+    generate_random_dl,
+    generate_random_instances,
+    serialize_model,
+)
 from dlxplain.cdcl import Solver
 from dlxplain.cli import main
+from dlxplain.model_io import serialize_instances
 
 
 @pytest.fixture
@@ -232,14 +239,19 @@ def test_alternative_rejects_multiclass(tmp_path, capsys):
     assert "binary" in err
 
 
-def test_horn_rejects_alternative_encoding(mhs_files, capsys):
+@pytest.mark.parametrize("argv", [
+    ["explain", "--mode", "horn"],
+    ["encode", "--query", "dlsat", "--target-class", "pos", "--out-dir", "enc"],
+], ids=["horn", "dlsat"])
+def test_horn_rejects_alternative_encoding(mhs_files, tmp_path, monkeypatch,
+                                           capsys, argv):
     model, insts = mhs_files
-    code, out, err = run(
-        capsys, "explain", "--model", model, "--instances", insts,
-        "--mode", "horn", "--encoding", "alternative",
-    )
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--model", model, "--instances", insts,
+                         "--encoding", "alternative")
     assert code == 2 and out == ""
-    assert "horn uses no encoding" in err
+    assert err.startswith("error: ") and "drop --encoding alternative" in err
+    assert not (tmp_path / "enc").exists()
 
 
 def test_json_output_deterministic(mhs_files, capsys):
@@ -500,3 +512,29 @@ def test_enum_records_do_not_depend_on_row_order(tmp_path, capsys, mode,
     assert len(base) == len(MIXED_ROWS)
     for order in ([5, 4, 3, 2, 1, 0], [3, 0, 5, 1, 4, 2]):
         assert records([MIXED_ROWS[i] for i in order]) == base
+
+
+@pytest.mark.parametrize("mode", ["one-axp", "one-cxp"])
+def test_one_shot_records_do_not_depend_on_row_order(tmp_path, capsys, mode):
+    # a one-shot answer depends on its own instance alone; on a model this
+    # size a solver session shared across rows would show the row order
+    dl = generate_random_dl(GeneratorParams(
+        seed=0, num_features=10, domain_size=3, num_rules=40,
+        max_antecedent_len=4, num_classes=2))
+    model = tmp_path / "model.dl"
+    model.write_text(serialize_model(dl))
+    rows = generate_random_instances(dl, 12, seed=7)
+
+    def records(batch):
+        insts = tmp_path / "insts.csv"
+        insts.write_text(serialize_instances(dl.space, batch))
+        code, out, _ = run(capsys, "explain", "--model", str(model),
+                           "--instances", str(insts), "--mode", mode,
+                           "--format", "json-lines")
+        assert code == 0
+        return {tuple(json.loads(line)["point"]): line.split(", ", 1)[1]
+                for line in out.splitlines()}
+
+    base = records(rows)
+    assert len(base) == len(rows)
+    assert records(rows[::-1]) == base

@@ -6,7 +6,9 @@ domains; the strategy here also produces inconsistent antecedents, '!='
 literals that together exclude a whole domain, features with a one-value
 domain, multi-class models with any default class, and default-only
 models.  The enumeration modes run 2-4 instances per model through one
-`Explainer`, as the command line does.
+`Explainer`, as the command line does.  The encodings themselves are
+checked against the class table: DL-SAT for every class, and the model
+set of each explanation query's hard clauses.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,9 @@ from dlxplain import (
     Rule,
     bf_all_axps,
     bf_all_cxps,
+    bf_dlsat,
     encode_alternative,
+    encode_dlsat,
     encode_explanation_query,
     enumerate_cxp_lbx,
     enumerate_marco,
@@ -28,8 +32,10 @@ from dlxplain import (
     one_axp,
     one_cxp,
 )
+from dlxplain.bruteforce import class_table, hard_model_points
 from dlxplain.core import AXP, CXP
 from dlxplain.explain import NoCxpExists, _features, _query
+from dlxplain.oracle import OracleSession
 
 
 @st.composite
@@ -143,3 +149,24 @@ def test_query_answers_read_as_seeds_on_arbitrary_shapes(data):
     _check_seeds(data, encode_explanation_query, dl, insts)
     if len(dl.space.classes) == 2:
         _check_seeds(data, encode_alternative, dl, insts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_encodings_match_bruteforce_on_arbitrary_shapes(data):
+    dl = data.draw(decision_lists(), label="model")
+    for target in range(len(dl.space.classes)):
+        vm, clauses = encode_dlsat(dl, target)
+        session = OracleSession(vm.var_count)
+        for cl in clauses:
+            session.add_clause(cl)
+        assert session.solve([]).sat == bf_dlsat(dl, target), target
+    table = class_table(dl)
+    encoders = [encode_explanation_query]
+    if len(dl.space.classes) == 2:
+        encoders.append(encode_alternative)
+    for inst in _instances(data, dl):
+        for encode in encoders:
+            enc = encode(dl, inst)
+            assert hard_model_points(dl, enc) == {
+                p for p in dl.space.points() if table[p] != enc.pred_class}

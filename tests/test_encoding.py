@@ -17,8 +17,7 @@ from dlxplain import (
     generate_random_instances,
     parse_model,
 )
-from dlxplain.bruteforce import class_table
-from dlxplain.encoding import hard_model_points
+from dlxplain.bruteforce import class_table, hard_model_points
 from dlxplain.explain import load_encoding
 from dlxplain.oracle import OracleSession
 from dlxplain.reductions import CnfFormula
@@ -109,7 +108,7 @@ def test_mhs_hard_models_match_flipped_predictions(mhs_dl, mhs_instance):
         p for p in mhs_dl.space.points()
         if p[2] != 1 and not (p[0] == 1 and p[1] == 1)
     )
-    assert hard_model_points(enc) == expected
+    assert hard_model_points(mhs_dl, enc) == expected
     assert expected == misclassified_points(mhs_dl, enc.pred_class)
 
 
@@ -126,7 +125,7 @@ def test_single_default_hard_is_unsat(constant_dl):
     assert [] in enc.hard  # the same-class disjunction is empty
     ses = load_encoding(enc)
     assert not ses.solve([]).sat
-    assert hard_model_points(enc) == frozenset()
+    assert hard_model_points(constant_dl, enc) == frozenset()
 
 
 def test_inconsistent_rule_drops_out():
@@ -146,7 +145,7 @@ default => a
     # neither inconsistent rule gets a variable or a clause
     assert enc.varmap.t == {2: 3}
     assert enc.hard == [[b0, b1], [-b0, -b1], [-t2, b1], [t2]]
-    assert hard_model_points(enc) == {(1,)}
+    assert hard_model_points(dl, enc) == {(1,)}
 
 
 def test_alternative_matches_main_on_paper_models(
@@ -160,7 +159,7 @@ def test_alternative_matches_main_on_paper_models(
     for dl, inst in cases:
         main = encode_explanation_query(dl, inst)
         alt = encode_alternative(dl, inst)
-        assert hard_model_points(main) == hard_model_points(alt)
+        assert hard_model_points(dl, main) == hard_model_points(dl, alt)
         ses = load_encoding(alt)
         assert not ses.solve(alt.soft).sat
 
@@ -168,10 +167,9 @@ def test_alternative_matches_main_on_paper_models(
 def test_alternative_plan_mhs(mhs_dl, mhs_instance):
     from dlxplain.encoding import _sequential_plan
     pred, _ = classify(mhs_dl, mhs_instance.point)
-    chain, others, default_in = _sequential_plan(mhs_dl, pred)
+    chain, others = _sequential_plan(mhs_dl, pred)
     assert chain == [0, mhs_dl.default_index]
     assert others == [1]
-    assert default_in
 
 
 def test_alternative_rejects_multiclass():
@@ -190,7 +188,7 @@ def test_alternative_exhaustive_equivalence_random_binary():
         for inst in generate_random_instances(dl, 3, seed + 50):
             main = encode_explanation_query(dl, inst)
             alt = encode_alternative(dl, inst)
-            assert hard_model_points(main) == hard_model_points(alt)
+            assert hard_model_points(dl, main) == hard_model_points(dl, alt)
 
 
 def test_dlsat_encoding_agreement():
