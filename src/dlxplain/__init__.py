@@ -10,7 +10,6 @@ from .core import (
     AXP,
     CXP,
     DecisionList,
-    Explanation,
     FeatureSpace,
     Instance,
     InputError,
@@ -45,7 +44,6 @@ from .encoding import (
 from .oracle import OracleSession, OracleTimeout, SolveResult
 from .explain import (
     ContractError,
-    NoCxpExists,
     load_encoding,
     one_axp,
     one_cxp,
@@ -67,7 +65,6 @@ from .horn import (
 )
 from .bruteforce import (
     BoundExceeded,
-    ExplanationSets,
     bf_all_axps,
     bf_all_cxps,
     bf_dlim,

@@ -9,28 +9,19 @@ points their hard clauses should admit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecisionList, Instance, allowed_values
+from .core import DecisionList, Instance, InputError, allowed_values
 from .encoding import Encoding
 
 
-class BoundExceeded(ValueError):
+class BoundExceeded(InputError):
     """The feature space is too large for exhaustive enumeration."""
 
 
 DEFAULT_MAX_POINTS = 1_000_000
 DEFAULT_MAX_FEATURES = 12
-
-
-@dataclass(frozen=True)
-class ExplanationSets:
-    """All abductive and all contrastive explanations of one instance."""
-
-    axps: frozenset[frozenset[int]]
-    cxps: frozenset[frozenset[int]]
 
 
 def _check_bounds(dl: DecisionList, max_points: int, max_features: int) -> None:
@@ -169,10 +160,11 @@ def _is_minimal_hitting_set(hs: frozenset[int], sets) -> bool:
     return all(any(not ((hs - {e}) & s) for s in sets) for e in hs)
 
 
-def check_duality(sets: ExplanationSets) -> bool:
-    """Every AXp a minimal hitting set of the CXps and vice versa; the
-    empty-collection convention pairs {{}} with the empty family."""
-    axps, cxps = sets.axps, sets.cxps
+def check_duality(axps, cxps) -> bool:
+    """True iff every set of `axps` is a minimal hitting set of `cxps` and
+    every set of `cxps` one of `axps`, as all AXps and all CXps of one
+    instance must be; the empty-collection convention pairs {{}} with the
+    empty family."""
     if not axps and not cxps:
         return True
     return all(_is_minimal_hitting_set(x, cxps) for x in axps) and all(

@@ -1,9 +1,11 @@
 """Command-line front end: classify, explain, encode, verify.
 
-Machine output is JSON lines with a stable field order and lexicographically
-sorted explanations, so identical configurations produce byte-identical
-output; the human format renders the same records.  Wall-clock figures are
-only added under --timing to keep the default output reproducible.
+The engines return plain feature sets and enumeration reports; this module
+alone shapes them into records.  Machine output is JSON lines with a stable
+field order and lexicographically sorted explanations, so identical
+configurations produce byte-identical output; the human format renders the
+same records.  Wall-clock figures are only added under `explain --timing`,
+to keep the default output reproducible.
 """
 
 from __future__ import annotations
@@ -16,16 +18,9 @@ import sys
 import time
 from pathlib import Path
 
-from .bruteforce import (
-    BoundExceeded,
-    ExplanationSets,
-    bf_all_axps,
-    bf_all_cxps,
-    check_duality,
-)
+from .bruteforce import bf_all_axps, bf_all_cxps, check_duality
 from .core import AXP, CXP, DecisionList, Instance, InputError, classify
 from .encoding import (
-    MultiClassUnsupported,
     dump_dimacs,
     dump_wcnf,
     encode_alternative,
@@ -33,7 +28,7 @@ from .encoding import (
     encode_explanation_query,
 )
 from .enumeration import Explainer, enumerate_cxp_lbx, enumerate_marco
-from .explain import NoCxpExists, load_encoding, one_axp, one_cxp
+from .explain import load_encoding, one_axp, one_cxp
 from .horn import NotRestricted, horn_axp
 from .model_io import ParseError, parse_instances, parse_model
 from .oracle import OracleTimeout
@@ -69,14 +64,13 @@ def _emit(record: dict, args: argparse.Namespace, out=None) -> None:
         out.write("  ".join(parts) + "\n")
 
 
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _load(args: argparse.Namespace) -> tuple[DecisionList, list[Instance]]:
-    dl = parse_model(Path(args.model).read_text(encoding="utf-8-sig"))
-    instances: list[Instance] = []
-    if args.instances:
-        instances = parse_instances(
-            Path(args.instances).read_text(encoding="utf-8-sig"), dl.space
-        )
-    return dl, instances
+    dl = parse_model(_read(args.model))
+    return dl, parse_instances(_read(args.instances), dl.space)
 
 
 def _feature_names(dl: DecisionList, feats) -> list[str]:
@@ -85,6 +79,11 @@ def _feature_names(dl: DecisionList, feats) -> list[str]:
 
 def _point(dl: DecisionList, inst: Instance) -> list[str]:
     return [dl.space.domains[j][v] for j, v in enumerate(inst.point)]
+
+
+def _check_budget(args: argparse.Namespace) -> None:
+    if args.budget_s is not None and not args.budget_s > 0:
+        raise InputError("--budget-s must be positive")
 
 
 def _deadline(args: argparse.Namespace) -> float | None:
@@ -123,38 +122,33 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def _one_shot_record(args, dl, idx, inst):
     record = {"instance": idx, "point": _point(dl, inst)}
-    started = time.monotonic()
     deadline = _deadline(args)
-    if args.mode == "horn":
-        cls, _ = classify(dl, inst.point)
-        record["class"] = dl.space.classes[cls]
-        try:
-            expl = horn_axp(dl, inst)
-            record["kind"] = AXP
-            record["features"] = _feature_names(dl, expl.features)
-        except NotRestricted as exc:
-            record["error"] = f"not-restricted: {exc}"
+    kind = CXP if args.mode == "one-cxp" else AXP
+    try:
+        if args.mode == "horn":
+            cls, _ = classify(dl, inst.point)
+            record["class"] = dl.space.classes[cls]
+            feats = horn_axp(dl, inst)
+        else:
+            enc = _encoder(args)(dl, inst)
+            record["class"] = dl.space.classes[enc.pred_class]
+            # a fresh session per instance: which explanation a one-shot
+            # engine finds depends on solver state, and must not depend on
+            # other rows
+            session = load_encoding(enc)
+            engine = one_axp if kind == AXP else one_cxp
+            feats = engine(enc, session, deadline=deadline)
+    except NotRestricted as exc:
+        record["error"] = f"not-restricted: {exc}"
+    except OracleTimeout:
+        record["incomplete"] = True
     else:
-        enc = _encoder(args)(dl, inst)
-        record["class"] = dl.space.classes[enc.pred_class]
-        # a fresh session per instance: which explanation a one-shot engine
-        # finds depends on solver state, and must not depend on other rows
-        session = load_encoding(enc)
-        try:
-            if args.mode == "one-axp":
-                expl = one_axp(enc, session, deadline=deadline)
-            else:
-                expl = one_cxp(enc, session, deadline=deadline)
-            record["kind"] = expl.kind
-            record["features"] = _feature_names(dl, expl.features)
-        except NoCxpExists:
-            record["kind"] = CXP
+        record["kind"] = kind
+        if feats is None:
             record["features"] = None
             record["note"] = "no contrastive explanation exists"
-        except OracleTimeout:
-            record["incomplete"] = True
-    if args.timing:
-        record["time"] = round(time.monotonic() - started, 3)
+        else:
+            record["features"] = _feature_names(dl, feats)
     return record
 
 
@@ -169,22 +163,22 @@ def _enum_record(args, dl, idx, inst, explainer):
     deadline = _deadline(args)
     enc, session = explainer.query(inst)
     report = _enumerate(args.mode, enc, session, deadline)
-    record = {
+    families = {"axps": report.axps, "cxps": report.cxps}
+    return {
         "instance": idx,
         "point": _point(dl, inst),
         "class": dl.space.classes[enc.pred_class],
         "axps": [_feature_names(dl, x) for x in report.axps],
         "cxps": [_feature_names(dl, y) for y in report.cxps],
-        "counts": report.counts,
-        "avg_size": report.average_sizes,
+        "counts": {k: len(fam) for k, fam in families.items()},
+        "avg_size": {k: sum(map(len, fam)) / len(fam) if fam else None
+                     for k, fam in families.items()},
         "complete": report.complete,
     }
-    if args.timing:
-        record["time"] = round(report.wall_time, 3)
-    return record, report.complete
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    _check_budget(args)
     if args.mode == "horn" and args.encoding != "main":
         raise InputError(f"--mode horn uses no encoding; "
                          f"drop --encoding {args.encoding}")
@@ -192,12 +186,16 @@ def cmd_explain(args: argparse.Namespace) -> int:
     all_complete = True
     explainer = Explainer(dl, _encoder(args))
     for idx, inst in enumerate(instances):
+        started = time.monotonic()
         if args.mode in ONE_SHOT_MODES:
             record = _one_shot_record(args, dl, idx, inst)
-            complete = "incomplete" not in record
         else:
-            record, complete = _enum_record(args, dl, idx, inst, explainer)
-        all_complete &= complete
+            record = _enum_record(args, dl, idx, inst, explainer)
+        if args.timing:
+            record["time"] = round(time.monotonic() - started, 3)
+        # an enumeration record says whether it is complete, a one-shot
+        # record only when it is not
+        all_complete &= record.get("complete", "incomplete" not in record)
         _emit(record, args)
     if not all_complete and args.strict:
         return 3
@@ -208,20 +206,24 @@ def cmd_encode(args: argparse.Namespace) -> int:
     if args.query == "dlsat" and args.encoding != "main":
         raise InputError(f"--query dlsat has only the main encoding; "
                          f"drop --encoding {args.encoding}")
-    dl, instances = _load(args)
+    dl = parse_model(_read(args.model))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.query == "dlsat":
+        # DL-SAT reads no instance, and nothing is written before the
+        # target class is known to be valid
         if args.target_class is None:
-            print("error: --target-class is required for dlsat", file=sys.stderr)
-            return 2
+            raise InputError("--target-class is required for dlsat")
         target = dl.space.class_index(args.target_class)
         vm, clauses = encode_dlsat(dl, target)
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"dlsat_{args.target_class}.cnf"
         path.write_text(dump_dimacs(vm, clauses), encoding="utf-8")
         _emit({"file": path.name, "vars": vm.var_count,
                "clauses": len(clauses)}, args)
         return 0
+    instances = ([] if args.instances is None
+                 else parse_instances(_read(args.instances), dl.space))
+    out_dir.mkdir(parents=True, exist_ok=True)
     for idx, inst in enumerate(instances):
         enc = _encoder(args)(dl, inst)
         path = out_dir / f"inst{idx:04d}.wcnf"
@@ -236,29 +238,26 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_budget(args)
     dl, instances = _load(args)
     bounds = dict(max_points=args.bf_max_points,
                   max_features=args.bf_max_features)
     failures = budget_runs = 0
     explainer = Explainer(dl, encode_explanation_query)
     for idx, inst in enumerate(instances):
-        try:
-            expected_x = bf_all_axps(dl, inst, **bounds)
-            expected_y = bf_all_cxps(dl, inst, **bounds)
-        except BoundExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        expected_x = bf_all_axps(dl, inst, **bounds)
+        expected_y = bf_all_cxps(dl, inst, **bounds)
         enc, session = explainer.query(inst)
         results = {}
         incomplete = []
-        for mode in ("enum-marco-axp", "enum-marco-cxp", "enum-lbx"):
-            report = _enumerate(mode, enc, session, _deadline(args))
-            axps = None if mode == "enum-lbx" else set(report.axps)
-            results[report.mode] = (axps, set(report.cxps))
+        for run in ("marco-axp", "marco-cxp", "lbx"):
+            report = _enumerate(f"enum-{run}", enc, session, _deadline(args))
+            axps = None if run == "lbx" else set(report.axps)
+            results[run] = (axps, set(report.cxps))
             if not report.complete:
-                incomplete.append(report.mode)
+                incomplete.append(run)
 
-        ok = check_duality(ExplanationSets(expected_x, expected_y))
+        ok = check_duality(expected_x, expected_y)
         problems = [] if ok else ["duality violated on brute-force sets"]
         for mode, (axps, cxps) in results.items():
             # a run cut short by the budget must still report only true
@@ -310,10 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance CSV file")
         p.add_argument("--format", choices=("human", "json-lines"),
                        default="human")
+
+    def budget(p):
         p.add_argument("--budget-s", type=float, default=None,
                        help="per-instance time budget in seconds")
-        p.add_argument("--timing", action="store_true",
-                       help="add wall-clock fields to the output")
 
     p = sub.add_parser("classify", help="classify instances")
     common(p)
@@ -321,6 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="compute or enumerate explanations")
     common(p)
+    budget(p)
+    p.add_argument("--timing", action="store_true",
+                   help="add each record's wall-clock seconds as its time")
     p.add_argument("--mode", choices=ONE_SHOT_MODES + ENUM_MODES,
                    default="enum-marco-axp")
     p.add_argument("--encoding", choices=("main", "alternative"), default="main")
@@ -339,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check enumeration against "
                                       "exhaustive ground truth")
     common(p)
+    budget(p)
     p.add_argument("--bf-max-points", type=int, default=1_000_000)
     p.add_argument("--bf-max-features", type=int, default=12)
     p.set_defaults(handler=cmd_verify)
@@ -347,13 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.budget_s is not None and not args.budget_s > 0:
-        print("error: --budget-s must be positive", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
-    except (ParseError, InputError, MultiClassUnsupported, OSError,
-            UnicodeDecodeError) as exc:
+    except (ParseError, InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

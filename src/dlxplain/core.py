@@ -221,19 +221,6 @@ class Instance:
     label: int | None = None
 
 
-@dataclass(frozen=True)
-class Explanation:
-    """A set of features acting as an abductive (AXP) or contrastive (CXP)
-    explanation; minimality is the producing operation's responsibility."""
-
-    kind: str
-    features: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.kind not in (AXP, CXP):
-            raise ValueError(f"unknown explanation kind {self.kind!r}")
-
-
 def eval_term(term: Iterable[Literal], point: Sequence[int]) -> bool:
     """True iff every literal of the term holds; the empty term holds."""
     return all(lit.holds(point) for lit in term)

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import DecisionList, Instance, classify
+from .core import DecisionList, Instance, InputError, classify
 
 
-class MultiClassUnsupported(ValueError):
+class MultiClassUnsupported(InputError):
     """The sequential encoding only covers binary classification."""
 
 

@@ -12,14 +12,12 @@ its instance's query on one solver session per predicted class.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 from .core import AXP, CXP, DecisionList, Instance, classify
 from .encoding import Encoding, encode_explanation_query
 from .explain import (
     ContractError,
-    NoCxpExists,
     _features,
     _query,
     load_encoding,
@@ -111,29 +109,17 @@ def _sort_key(s: frozenset):
 
 @dataclass
 class ExplanationReport:
-    """Everything enumerated for one instance, plus bookkeeping."""
+    """The explanations enumerated for one instance, and whether the run
+    finished or ran out of budget.  `finalize` sorts both families."""
 
-    mode: str
     axps: list[frozenset] = field(default_factory=list)
     cxps: list[frozenset] = field(default_factory=list)
     complete: bool = True
-    wall_time: float = 0.0
 
     def finalize(self) -> "ExplanationReport":
         self.axps = sorted({frozenset(x) for x in self.axps}, key=_sort_key)
         self.cxps = sorted({frozenset(y) for y in self.cxps}, key=_sort_key)
         return self
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return {"axps": len(self.axps), "cxps": len(self.cxps)}
-
-    @property
-    def average_sizes(self) -> dict[str, float | None]:
-        def avg(groups):
-            return sum(map(len, groups)) / len(groups) if groups else None
-
-        return {"axps": avg(self.axps), "cxps": avg(self.cxps)}
 
 
 def enumerate_marco(
@@ -148,11 +134,10 @@ def enumerate_marco(
     """
     if target not in (AXP, CXP):
         raise ValueError(f"unknown target kind {target!r}")
-    start = time.monotonic()
-    report = ExplanationReport(f"marco-{target}")
+    report = ExplanationReport()
     mhs = HittingSetOracle(range(len(enc.point)))
     dual = CXP if target == AXP else AXP
-    found: dict[str, list[frozenset]] = {AXP: [], CXP: []}
+    found = {AXP: report.axps, CXP: report.cxps}
 
     try:
         while True:
@@ -167,18 +152,14 @@ def enumerate_marco(
             # a counterexample's falsified softs seed a CXp, a core an AXp
             expl = reduce_dual(enc, session, dual, _features(enc, res),
                                deadline=deadline, known=found[target])
-            found[dual].append(expl.features)
-            if not expl.features:
+            found[dual].append(expl)
+            if not expl:
                 # hard clauses alone are unsatisfiable: the empty AXp is
                 # the only explanation of either kind
                 break
-            mhs.add_set(expl.features)
+            mhs.add_set(expl)
     except OracleTimeout:
         report.complete = False
-
-    report.axps = found[AXP]
-    report.cxps = found[CXP]
-    report.wall_time = time.monotonic() - start
     return report.finalize()
 
 
@@ -190,15 +171,10 @@ def enumerate_cxp_lbx(
     """All CXps by repeated single-CXp extraction, blocking each one under
     a run-wide selector.  The selector is retired at the end, however the
     run ends, so the session can serve other instances."""
-    start = time.monotonic()
-    report = ExplanationReport("lbx")
+    report = ExplanationReport()
     selector = session.new_selector()
     try:
-        while True:
-            try:
-                cxp = one_cxp(enc, session, deadline=deadline).features
-            except NoCxpExists:
-                break
+        while (cxp := one_cxp(enc, session, deadline=deadline)) is not None:
             report.cxps.append(cxp)
             session.add_clause([enc.soft[j] for j in sorted(cxp)],
                                selector=selector)
@@ -206,6 +182,4 @@ def enumerate_cxp_lbx(
         report.complete = False
     finally:
         session.retire_selector(selector)
-
-    report.wall_time = time.monotonic() - start
     return report.finalize()

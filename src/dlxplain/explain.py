@@ -1,6 +1,7 @@
 """Single-explanation engines: one AXp (an MUS of the query) or one CXp
 (an MCS), plus the reduction procedure used on dual candidates during
-enumeration.
+enumeration.  Each returns the explanation as a plain feature set;
+`one_cxp` returns None when no CXp exists.
 
 `one_axp`, `one_cxp` and `reduce_dual` share one deletion loop, which
 adds no clause and no variable to the session.  It skips the oracle call
@@ -18,14 +19,9 @@ instance.
 
 from __future__ import annotations
 
-from .core import AXP, CXP, Explanation
+from .core import AXP, CXP
 from .encoding import Encoding
 from .oracle import OracleSession
-
-
-class NoCxpExists(Exception):
-    """The hard clauses alone are unsatisfiable: the prediction can never
-    change, so no contrastive explanation exists."""
 
 
 class ContractError(ValueError):
@@ -91,27 +87,26 @@ def one_axp(
     enc: Encoding,
     session: OracleSession,
     deadline: float | None = None,
-) -> Explanation:
+) -> frozenset[int]:
     """Deletion-based linear search for one abductive explanation, over
     all features with no known CXps."""
-    return Explanation(
-        AXP, _delete(enc, session, AXP, range(len(enc.point)), (), deadline)
-    )
+    return _delete(enc, session, AXP, range(len(enc.point)), (), deadline)
 
 
 def one_cxp(
     enc: Encoding,
     session: OracleSession,
     deadline: float | None = None,
-) -> Explanation:
+) -> frozenset[int] | None:
     """Deletion-based search for one contrastive explanation: the softs
     falsified by one model that prefers the instance's values seed it.
-    Adds no clause and no variable to the session."""
+    None when the session's clauses alone are unsatisfiable, so the
+    prediction cannot change.  Adds no clause and no variable to the
+    session."""
     res = _query(enc, session, CXP, range(len(enc.point)), deadline)
     if not res.sat:
-        raise NoCxpExists("hard clauses are unsatisfiable; prediction is fixed")
-    seed = _features(enc, res)
-    return Explanation(CXP, _delete(enc, session, CXP, seed, (), deadline))
+        return None
+    return _delete(enc, session, CXP, _features(enc, res), (), deadline)
 
 
 def reduce_dual(
@@ -121,7 +116,7 @@ def reduce_dual(
     candidate,
     deadline: float | None = None,
     known=(),
-) -> Explanation:
+) -> frozenset[int]:
     """Shrink a sufficiency-preserving candidate to a subset-minimal
     explanation by deletion, ascending feature order.  `known` holds
     explanations of the other kind; steps they decide cost no oracle call,
@@ -131,4 +126,4 @@ def reduce_dual(
     cand = frozenset(candidate)
     if _query(enc, session, kind, cand, deadline).sat != (kind == CXP):
         raise ContractError(f"candidate {sorted(cand)} is not a valid {kind} seed")
-    return Explanation(kind, _delete(enc, session, kind, cand, known, deadline))
+    return _delete(enc, session, kind, cand, known, deadline)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .core import (
-    AXP, DecisionList, Explanation, Instance, allowed_values, classify,
-    is_self_determining,
+    DecisionList, Instance, allowed_values, classify, is_self_determining,
 )
 
 
@@ -84,15 +83,15 @@ class HornQuery:
                    for same, b in self.boxes if same) == free
 
 
-def horn_axp(dl: DecisionList, inst: Instance) -> Explanation:
+def horn_axp(dl: DecisionList, inst: Instance) -> frozenset[int]:
     """One minimal abductive explanation, found without search."""
-    expl, _ = horn_axp_detailed(dl, inst)
-    return expl
+    axp, _ = horn_axp_detailed(dl, inst)
+    return axp
 
 
 def horn_axp_detailed(
     dl: DecisionList, inst: Instance
-) -> tuple[Explanation, HornQuery]:
+) -> tuple[frozenset[int], HornQuery]:
     """Like horn_axp but also returns the query, whose checks_used field
     certifies the budget of one check per feature.
 
@@ -119,4 +118,4 @@ def horn_axp_detailed(
         pinned.discard(j)
         if not query.sufficient(pinned):
             pinned.add(j)
-    return Explanation(AXP, frozenset(pinned)), query
+    return frozenset(pinned), query

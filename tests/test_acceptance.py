@@ -16,7 +16,6 @@ import pytest
 from dlxplain import (
     CnfFormula,
     DnfFormula,
-    ExplanationSets,
     Explainer,
     GeneratorParams,
     Instance,
@@ -43,7 +42,7 @@ from dlxplain import (
 )
 from dlxplain.bruteforce import hard_model_points
 from dlxplain.core import AXP, CXP
-from dlxplain.explain import NoCxpExists, load_encoding
+from dlxplain.explain import load_encoding
 from dlxplain.oracle import OracleSession
 
 from conftest import DL00_MODEL, MHS_MODEL, SELFDET_MODEL
@@ -119,11 +118,10 @@ def corpus():
                 case.emitted.extend((CXP, y) for y in rep.cxps)
 
             session = load_encoding(enc)
-            case.emitted.append((AXP, one_axp(enc, session).features))
-            try:
-                case.emitted.append((CXP, one_cxp(enc, session).features))
-            except NoCxpExists:
-                pass
+            case.emitted.append((AXP, one_axp(enc, session)))
+            cxp = one_cxp(enc, session)
+            if cxp is not None:
+                case.emitted.append((CXP, cxp))
             cases.append(case)
     return cases, time.monotonic() - start
 
@@ -149,8 +147,8 @@ def test_criterion_1_paper_example_regression():
 
         started = time.monotonic()
         selfdet = parse_model(SELFDET_MODEL)
-        expl, _ = horn_axp_detailed(selfdet, Instance((1, 0, 1, 1)))
-        assert expl.features == frozenset({0, 2, 3})
+        axp, _ = horn_axp_detailed(selfdet, Instance((1, 0, 1, 1)))
+        assert axp == frozenset({0, 2, 3})
         assert time.monotonic() - started < 1.0
         ok = True
     finally:
@@ -168,7 +166,7 @@ def test_criterion_2_oracle_equivalence(corpus):
                 assert case.mode_axps[mode] == case.bf_axps, (mode, case.inst)
                 assert case.mode_cxps[mode] == case.bf_cxps, (mode, case.inst)
             assert case.mode_cxps["lbx"] == case.bf_cxps, ("lbx", case.inst)
-            assert check_duality(ExplanationSets(case.bf_axps, case.bf_cxps))
+            assert check_duality(case.bf_axps, case.bf_cxps)
         assert elapsed <= 600, f"corpus enumeration took {elapsed:.0f}s"
         ok = True
     finally:
@@ -312,16 +310,16 @@ def test_criterion_6_horn_fastpath_search_free(corpus):
         try:
             outputs = []
             for case in restricted:
-                expl, query = horn_axp_detailed(case.dl, case.inst)
+                axp, query = horn_axp_detailed(case.dl, case.inst)
                 m = case.dl.space.num_features
                 assert query.checks_used <= m + 1, (case.inst, query.checks_used)
-                outputs.append((case, expl))
+                outputs.append((case, axp))
         finally:
             cdcl.Solver.solve = original
         assert not search_calls, "polynomial path must not invoke CDCL search"
         # the outputs also satisfy the criterion-3 style audit
-        for case, expl in outputs:
-            assert expl.features in case.bf_axps
+        for case, axp in outputs:
+            assert axp in case.bf_axps
         ok = True
     finally:
         _announce(6, "polynomial path is search-free", ok)

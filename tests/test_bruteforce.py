@@ -1,7 +1,6 @@
 import pytest
 
 from dlxplain import (
-    ExplanationSets,
     Instance,
     Literal,
     bf_all_axps,
@@ -62,27 +61,23 @@ def test_constant_model(constant_dl):
 
 
 def test_check_duality_cases():
-    good = ExplanationSets(
+    assert check_duality(
         frozenset({frozenset({0, 1}), frozenset({2})}),
         frozenset({frozenset({0, 2}), frozenset({1, 2})}),
     )
-    assert check_duality(good)
-    bad = ExplanationSets(
+    assert not check_duality(
         frozenset({frozenset({0})}), frozenset({frozenset({1})})
     )
-    assert not check_duality(bad)
-    assert check_duality(ExplanationSets(frozenset({frozenset()}), frozenset()))
+    assert check_duality(frozenset({frozenset()}), frozenset())
 
 
 def test_duality_and_antichain_always_hold(mhs_dl, dl00, overlap_dl, selfdet_dl):
     for dl in (mhs_dl, dl00, overlap_dl, selfdet_dl):
         for point in list(dl.space.points())[::3]:
-            sets = ExplanationSets(
-                bf_all_axps(dl, Instance(point)),
-                bf_all_cxps(dl, Instance(point)),
-            )
-            assert check_duality(sets)
-            for fam in (sets.axps, sets.cxps):
+            axps = bf_all_axps(dl, Instance(point))
+            cxps = bf_all_cxps(dl, Instance(point))
+            assert check_duality(axps, cxps)
+            for fam in (axps, cxps):
                 for a in fam:
                     for b in fam:
                         assert a == b or not (a <= b)

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from dlxplain import (
     serialize_model,
 )
 from dlxplain.cdcl import Solver
-from dlxplain.cli import main
+from dlxplain.cli import build_parser, main
 from dlxplain.model_io import serialize_instances
 
 
@@ -94,6 +95,7 @@ def test_explain_enum_marco_axp(mhs_files, capsys):
     assert rec["cxps"] == [["x1", "x3"], ["x2", "x3"]]
     assert rec["complete"] is True
     assert rec["counts"] == {"axps": 2, "cxps": 2}
+    assert rec["avg_size"] == {"axps": 1.5, "cxps": 2.0}
 
 
 def test_explain_one_shot_modes(mhs_files, capsys):
@@ -304,13 +306,35 @@ def test_encode_dlsat(tmp_path, mhs_files, capsys):
     assert path.read_text().startswith("p cnf ")
 
 
-def test_encode_dlsat_needs_target(tmp_path, mhs_files, capsys):
+def test_encode_dlsat_reads_no_instances(tmp_path, mhs_files, capsys):
+    # DL-SAT never reads the instances, so a file that does not fit the
+    # model cannot make the export fail
     model, _ = mhs_files
+    insts = tmp_path / "partial.csv"
+    insts.write_text("x1,x2\n0,0\n")
+    out_dir = tmp_path / "enc"
     code, _, err = run(
-        capsys, "encode", "--model", model, "--query", "dlsat",
-        "--out-dir", str(tmp_path),
+        capsys, "encode", "--model", model, "--instances", str(insts),
+        "--query", "dlsat", "--target-class", "pos", "--out-dir", str(out_dir),
     )
-    assert code == 2 and "--target-class" in err
+    assert code == 0, err
+    assert (out_dir / "dlsat_pos.cnf").read_text().startswith("p cnf ")
+
+
+def test_encode_dlsat_needs_target(tmp_path, mhs_files, capsys):
+    # a missing or unknown target class is rejected before anything is
+    # written
+    model, _ = mhs_files
+    out_dir = tmp_path / "enc"
+    for target, message in (([], "--target-class is required"),
+                            (["--target-class", "nope"], "unknown class 'nope'")):
+        code, out, err = run(
+            capsys, "encode", "--model", model, "--query", "dlsat", *target,
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert not out_dir.exists()
 
 
 def test_verify_ok(mhs_files, capsys):
@@ -538,3 +562,98 @@ def test_one_shot_records_do_not_depend_on_row_order(tmp_path, capsys, mode):
     base = records(rows)
     assert len(base) == len(rows)
     assert records(rows[::-1]) == base
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "one-axp"],
+    ["--mode", "one-cxp"],
+    ["--mode", "horn"],
+    ["--mode", "enum-lbx"],
+    ["--mode", "enum-marco-axp"],
+    ["--mode", "enum-marco-cxp"],
+    ["--mode", "one-cxp", "--budget-s", "0.000001"],
+    ["--mode", "enum-marco-cxp", "--budget-s", "0.000001"],
+], ids=["one-axp", "one-cxp", "horn", "enum-lbx", "enum-marco-axp",
+        "enum-marco-cxp", "one-cxp-budget", "enum-marco-cxp-budget"])
+def test_timing_ends_every_record(mhs_files, tmp_path, capsys, argv):
+    model, insts = mhs_files
+    if "horn" in argv:
+        model, insts = tmp_path / "selfdet.dl", tmp_path / "selfdet.csv"
+        model.write_text(SELFDET_MODEL)
+        insts.write_text("a,b,c,d\n1,0,1,1\n0,0,0,0\n")
+    for timing in ([], ["--timing"]):
+        code, out, err = run(capsys, "explain", "--model", str(model),
+                             "--instances", str(insts), *argv, *timing,
+                             "--format", "json-lines")
+        recs = jlines(out)
+        assert code == 0 and len(recs) == 2, err
+        if "--budget-s" in argv:
+            assert all(r.get("incomplete") or r.get("complete") is False
+                       for r in recs)
+        for r in recs:
+            if timing:
+                assert list(r)[-1] == "time" and r["time"] >= 0
+            else:
+                assert "time" not in r
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--timing"],
+    ["encode", "--budget-s", "1"],
+    ["encode", "--timing"],
+    ["verify", "--timing"],
+], ids=["classify-timing", "encode-budget", "encode-timing", "verify-timing"])
+def test_options_exist_only_where_read(mhs_files, capsys, argv):
+    model, insts = mhs_files
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--model", model, "--instances", insts])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# representative runs of each subcommand; --strict is read only after an
+# incomplete run
+OPTION_VARIANTS = {
+    "classify": [["--format", "json-lines"]],
+    "explain": [["--mode", "enum-lbx", "--timing"],
+                ["--mode", "enum-marco-axp", "--encoding", "alternative",
+                 "--budget-s", "0.000001", "--strict"]],
+    "encode": [["--out-dir", "enc", "--format", "json-lines"],
+               ["--query", "dlsat", "--target-class", "pos",
+                "--out-dir", "enc"]],
+    "verify": [["--budget-s", "1", "--bf-max-points", "1000",
+                "--bf-max-features", "8"]],
+}
+
+
+@pytest.mark.parametrize("command", OPTION_VARIANTS)
+def test_every_option_is_read(mhs_files, tmp_path, monkeypatch, capsys,
+                              command):
+    # a subcommand takes only options that some run of it reads
+    model, insts = mhs_files
+    monkeypatch.chdir(tmp_path)
+    options, read = set(), set()
+    for extra in OPTION_VARIANTS[command]:
+        spy = ReadRecorder()
+        args = build_parser().parse_args(
+            [command, "--model", model, "--instances", insts, *extra],
+            namespace=spy)
+        options |= set(vars(args)) - {"command", "handler", "_reads"}
+        spy._reads.clear()  # parsing reads every option; only the run counts
+        args.handler(args)
+        read |= spy._reads
+    capsys.readouterr()
+    assert options - read == set()

@@ -34,7 +34,7 @@ from dlxplain import (
 )
 from dlxplain.bruteforce import class_table, hard_model_points
 from dlxplain.core import AXP, CXP
-from dlxplain.explain import NoCxpExists, _features, _query
+from dlxplain.explain import _features, _query
 from dlxplain.oracle import OracleSession
 
 
@@ -93,13 +93,11 @@ def _check_engines(encode, dl, insts):
             assert set(rep.cxps) == cxps, target
         assert set(enumerate_cxp_lbx(enc, shared).cxps) == cxps
         session = load_encoding(enc)
-        assert one_axp(enc, session).features in axps
+        assert one_axp(enc, session) in axps
         for ses in (session, shared):
             size = ses.solver.nvars, len(ses.solver.clauses)
-            try:
-                assert one_cxp(enc, ses).features in cxps
-            except NoCxpExists:
-                assert not cxps
+            cxp = one_cxp(enc, ses)
+            assert cxp in cxps or (cxp is None and not cxps)
             assert (ses.solver.nvars, len(ses.solver.clauses)) == size
 
 

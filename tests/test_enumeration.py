@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlxplain import (
-    ExplanationSets,
     GeneratorParams,
     Instance,
     bf_all_axps,
@@ -195,17 +194,20 @@ def test_antichain_and_duality_on_reports(overlap_dl):
             for a in group:
                 for b in group:
                     assert a == b or not (a <= b)
-        assert check_duality(
-            ExplanationSets(frozenset(rep.axps), frozenset(rep.cxps))
-        )
+        assert check_duality(rep.axps, rep.cxps)
 
 
 def test_report_statistics(mhs_dl, mhs_instance):
+    # the CLI's counts and avg_size are read straight off these lists
     rep = _marco(mhs_dl, mhs_instance, AXP)
-    assert rep.counts == {"axps": 2, "cxps": 2}
-    assert rep.average_sizes == {"axps": 1.5, "cxps": 2.0}
-    assert rep.wall_time >= 0
-    assert rep.mode == "marco-axp"
+    assert [len(rep.axps), len(rep.cxps)] == [2, 2]
+    assert sum(map(len, rep.axps)) / len(rep.axps) == 1.5
+    assert sum(map(len, rep.cxps)) / len(rep.cxps) == 2.0
+    assert rep.axps == [frozenset({0, 1}), frozenset({2})]
+    assert rep.complete
+    # finalize drops repeats and keeps the sorted order
+    rep.axps.append(frozenset({2}))
+    assert rep.finalize().axps == [frozenset({0, 1}), frozenset({2})]
 
 
 def _run_on_class_sessions(dl, insts, mode, cut=None):

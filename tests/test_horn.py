@@ -44,8 +44,8 @@ def test_horn_axp_paper_example(selfdet_dl):
     inst = Instance((1, 0, 1, 1))
     cls, rule = classify(selfdet_dl, inst.point)
     assert selfdet_dl.space.classes[cls] == "pos" and rule == 5
-    expl, query = horn_axp_detailed(selfdet_dl, inst)
-    assert expl.features == frozenset({0, 2, 3})  # a, c, d
+    axp, query = horn_axp_detailed(selfdet_dl, inst)
+    assert axp == frozenset({0, 2, 3})  # a, c, d
     assert query.checks_used == selfdet_dl.space.num_features
 
 
@@ -56,8 +56,8 @@ def test_horn_one_rule_literal_example():
         "rule : x1=1 => pos\ndefault => neg\n"
     )
     assert check_restricted(dl, strict=True)
-    expl = horn_axp(dl, Instance((1,)))
-    assert expl.features == frozenset({0})
+    axp = horn_axp(dl, Instance((1,)))
+    assert axp == frozenset({0})
 
 
 def test_horn_single_rule_model():
@@ -71,8 +71,8 @@ def test_horn_single_rule_model():
         if rule == 0:
             inst_point = point
             break
-    expl = horn_axp(text_dl, Instance(inst_point))
-    assert expl.features == text_dl.rules[0].features
+    axp = horn_axp(text_dl, Instance(inst_point))
+    assert axp == text_dl.rules[0].features
 
 
 def test_horn_rejects_unrestricted(overlap_dl):
@@ -85,10 +85,10 @@ def test_horn_answers_are_minimal_on_dl00(dl00, dl00_instance):
     # dl00 passes only the relaxed check, and at half its points the
     # firing antecedent is larger than an AXp: the deletion loop drops
     # the firing rule's own features too
-    assert horn_axp(dl00, dl00_instance).features == frozenset({2, 3})
+    assert horn_axp(dl00, dl00_instance) == frozenset({2, 3})
     for point in dl00.space.points():
         inst = Instance(point)
-        assert horn_axp(dl00, inst).features in bf_all_axps(dl00, inst)
+        assert horn_axp(dl00, inst) in bf_all_axps(dl00, inst)
 
 
 def test_horn_default_firing_gives_minimal_axps(selfdet_dl):
@@ -104,7 +104,7 @@ def test_horn_default_firing_gives_minimal_axps(selfdet_dl):
     for point in trimmed.space.points():
         inst = Instance(point)
         fired.add(classify(trimmed, point)[1])
-        assert horn_axp(trimmed, inst).features in bf_all_axps(trimmed, inst)
+        assert horn_axp(trimmed, inst) in bf_all_axps(trimmed, inst)
     assert trimmed.default_index in fired
 
 
@@ -125,8 +125,8 @@ def test_horn_agreement_with_bruteforce_100_models():
         dl = generate_restricted_dl(params)
         assert check_restricted(dl, strict=True)
         for inst in generate_random_instances(dl, 3, seed + 7000):
-            expl, query = horn_axp_detailed(dl, inst)
-            assert expl.features in bf_all_axps(dl, inst)
+            axp, query = horn_axp_detailed(dl, inst)
+            assert axp in bf_all_axps(dl, inst)
             assert query.checks_used == m
         count += 1
 
@@ -134,15 +134,15 @@ def test_horn_agreement_with_bruteforce_100_models():
 def test_horn_output_passes_encoder_oracle_checks(selfdet_dl):
     for inst in generate_random_instances(selfdet_dl, 8, seed=77):
         try:
-            expl = horn_axp(selfdet_dl, inst)
+            axp = horn_axp(selfdet_dl, inst)
         except NotRestricted:
             continue
         enc = encode_explanation_query(selfdet_dl, inst)
         ses = load_encoding(enc)
-        kept = [enc.soft[j] for j in sorted(expl.features)]
+        kept = [enc.soft[j] for j in sorted(axp)]
         assert not ses.solve(kept).sat
-        for j in sorted(expl.features):
-            rest = [enc.soft[i] for i in sorted(expl.features) if i != j]
+        for j in sorted(axp):
+            rest = [enc.soft[i] for i in sorted(axp) if i != j]
             assert ses.solve(rest).sat
 
 
@@ -188,6 +188,6 @@ def test_horn_answers_are_axps_on_arbitrary_disjoint_lists(dl):
     assert check_restricted(dl, strict=False)
     for point in dl.space.points():
         inst = Instance(point)
-        expl, query = horn_axp_detailed(dl, inst)
-        assert expl.features in bf_all_axps(dl, inst), point
+        axp, query = horn_axp_detailed(dl, inst)
+        assert axp in bf_all_axps(dl, inst), point
         assert query.checks_used == dl.space.num_features
