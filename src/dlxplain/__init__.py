@@ -76,8 +76,6 @@ from .reductions import (
     DnfFormula,
     cnf_to_dl,
     dnfim_to_dl,
-    parse_dimacs_cnf,
-    parse_dimacs_dnf,
 )
 
 __version__ = "0.1.0"

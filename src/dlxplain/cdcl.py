@@ -42,8 +42,8 @@ def _luby(i: int) -> int:
     return 1 << seq
 
 
-class BudgetExceeded(Exception):
-    """The wall-clock deadline ran out mid-search."""
+class OracleTimeout(Exception):
+    """A solve call exceeded its per-call or per-instance budget."""
 
 
 class Solver:
@@ -455,7 +455,7 @@ class Solver:
 
         Returns (True, model, None) with model[v] the value of 1-based
         variable v, or (False, None, core) with core a subset of the
-        assumptions sufficient for unsatisfiability.  Raises BudgetExceeded
+        assumptions sufficient for unsatisfiability.  Raises OracleTimeout
         when the deadline runs out; the solver stays usable afterwards.
         The assumption levels the answer leaves consistent stay on the
         trail for the next call.
@@ -500,7 +500,7 @@ class Solver:
                 self.var_inc *= self.var_decay
                 if deadline is not None and time.monotonic() > deadline:
                     self._backtrack(0)
-                    raise BudgetExceeded("deadline exceeded")
+                    raise OracleTimeout("deadline exceeded")
                 if conflicts_here >= limit:
                     restarts += 1
                     limit = 64 * _luby(restarts)
@@ -536,6 +536,6 @@ class Solver:
             if deadline is not None and not decisions % 1024 and \
                     time.monotonic() > deadline:
                 self._backtrack(0)
-                raise BudgetExceeded("deadline exceeded")
+                raise OracleTimeout("deadline exceeded")
             self.trail_lim.append(len(self.trail))
             self._enqueue(next_lit, None)

@@ -18,7 +18,13 @@ import sys
 import time
 from pathlib import Path
 
-from .bruteforce import bf_all_axps, bf_all_cxps, check_duality
+from .bruteforce import (
+    DEFAULT_MAX_FEATURES,
+    DEFAULT_MAX_POINTS,
+    bf_all_axps,
+    bf_all_cxps,
+    check_duality,
+)
 from .core import AXP, CXP, DecisionList, Instance, InputError, classify
 from .encoding import (
     dump_dimacs,
@@ -221,8 +227,9 @@ def cmd_encode(args: argparse.Namespace) -> int:
         _emit({"file": path.name, "vars": vm.var_count,
                "clauses": len(clauses)}, args)
         return 0
-    instances = ([] if args.instances is None
-                 else parse_instances(_read(args.instances), dl.space))
+    if args.instances is None:
+        raise InputError("--instances is required for --query explain")
+    instances = parse_instances(_read(args.instances), dl.space)
     out_dir.mkdir(parents=True, exist_ok=True)
     for idx, inst in enumerate(instances):
         enc = _encoder(args)(dl, inst)
@@ -342,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "exhaustive ground truth")
     common(p)
     budget(p)
-    p.add_argument("--bf-max-points", type=int, default=1_000_000)
-    p.add_argument("--bf-max-features", type=int, default=12)
+    p.add_argument("--bf-max-points", type=int, default=DEFAULT_MAX_POINTS)
+    p.add_argument("--bf-max-features", type=int,
+                   default=DEFAULT_MAX_FEATURES)
     p.set_defaults(handler=cmd_verify)
     return parser
 

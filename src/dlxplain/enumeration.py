@@ -16,14 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .core import AXP, CXP, DecisionList, Instance, classify
 from .encoding import Encoding, encode_explanation_query
-from .explain import (
-    ContractError,
-    _features,
-    _query,
-    load_encoding,
-    one_cxp,
-    reduce_dual,
-)
+from .explain import ContractError, _query, load_encoding, one_cxp, reduce_dual
 from .oracle import OracleSession, OracleTimeout
 
 
@@ -150,8 +143,8 @@ def enumerate_marco(
                 mhs.block(h)
                 continue
             # a counterexample's falsified softs seed a CXp, a core an AXp
-            expl = reduce_dual(enc, session, dual, _features(enc, res),
-                               deadline=deadline, known=found[target])
+            expl = reduce_dual(enc, session, res, deadline=deadline,
+                               known=found[target])
             found[dual].append(expl)
             if not expl:
                 # hard clauses alone are unsatisfiable: the empty AXp is

@@ -1,6 +1,6 @@
 """Single-explanation engines: one AXp (an MUS of the query) or one CXp
-(an MCS), plus the reduction procedure used on dual candidates during
-enumeration.  Each returns the explanation as a plain feature set;
+(an MCS), plus the reduction of an oracle answer to an explanation used
+during enumeration.  Each returns the explanation as a plain feature set;
 `one_cxp` returns None when no CXp exists.
 
 `one_axp`, `one_cxp` and `reduce_dual` share one deletion loop, which
@@ -8,6 +8,10 @@ adds no clause and no variable to the session.  It skips the oracle call
 of every step that a known explanation of the other kind already decides
 (MCS-guided MUS extraction, Bacchus & Katsirelos, CAV 2015), so the
 enumerator's reductions get cheaper as its dual family grows.
+
+`reduce_dual` takes the answer that proves its seed: a model's falsified
+features are a CXp seed and a core an AXp seed (Liffiton et al.,
+Constraints 2016), so the seed needs no second oracle call.
 
 The engines speak features.  `_query` is the one oracle entry: it turns
 a feature set into assumptions on the `Encoding`'s soft literals and
@@ -21,11 +25,11 @@ from __future__ import annotations
 
 from .core import AXP, CXP
 from .encoding import Encoding
-from .oracle import OracleSession
+from .oracle import OracleSession, SolveResult
 
 
 class ContractError(ValueError):
-    """A candidate handed to reduce_dual violates its precondition."""
+    """A set handed to `HittingSetOracle.add_set` cannot be hit."""
 
 
 def load_encoding(enc: Encoding) -> OracleSession:
@@ -106,24 +110,20 @@ def one_cxp(
     res = _query(enc, session, CXP, range(len(enc.point)), deadline)
     if not res.sat:
         return None
-    return _delete(enc, session, CXP, _features(enc, res), (), deadline)
+    return reduce_dual(enc, session, res, deadline)
 
 
 def reduce_dual(
     enc: Encoding,
     session: OracleSession,
-    kind: str,
-    candidate,
+    answer: SolveResult,
     deadline: float | None = None,
     known=(),
 ) -> frozenset[int]:
-    """Shrink a sufficiency-preserving candidate to a subset-minimal
-    explanation by deletion, ascending feature order.  `known` holds
-    explanations of the other kind; steps they decide cost no oracle call,
-    and the result is the same as without them."""
-    if kind not in (AXP, CXP):
-        raise ValueError(f"unknown explanation kind {kind!r}")
-    cand = frozenset(candidate)
-    if _query(enc, session, kind, cand, deadline).sat != (kind == CXP):
-        raise ContractError(f"candidate {sorted(cand)} is not a valid {kind} seed")
-    return _delete(enc, session, kind, cand, known, deadline)
+    """Shrink the seed that an oracle answer proves to a subset-minimal
+    explanation by deletion, ascending feature order: a SAT answer's
+    falsified features to a CXp, an UNSAT answer's core to an AXp.
+    `known` holds explanations of the other kind; steps they decide cost
+    no oracle call, and the result is the same as without them."""
+    kind = CXP if answer.sat else AXP
+    return _delete(enc, session, kind, _features(enc, answer), known, deadline)

@@ -14,11 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .cdcl import BudgetExceeded, Solver
-
-
-class OracleTimeout(Exception):
-    """A solve call exceeded its per-call or per-instance budget."""
+from .cdcl import OracleTimeout, Solver
 
 
 class UnknownSelector(KeyError):
@@ -113,8 +109,6 @@ class OracleSession:
         try:
             sat, model, core = self.solver.solve(full, deadline=deadline,
                                                  prefer=prefer)
-        except BudgetExceeded as exc:
-            raise OracleTimeout(str(exc)) from exc
         finally:
             self.stats.conflicts += self.solver.conflicts - before_c
             self.stats.propagations += self.solver.propagations - before_p

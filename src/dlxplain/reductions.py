@@ -79,48 +79,3 @@ def dnfim_to_dl(psi: DnfFormula, p: tuple[int, ...]) -> DecisionList:
     rules = [Rule(_term_literals(t, negate=False), NEG) for t in psi.terms]
     rules.append(Rule(_term_literals(p, negate=False), POS))
     return DecisionList(space, tuple(rules), Rule((), NEG))
-
-
-def parse_dimacs_cnf(text: str) -> CnfFormula:
-    num_vars, groups = _parse_dimacs(text, "cnf")
-    return CnfFormula(num_vars, groups)
-
-
-def parse_dimacs_dnf(text: str) -> DnfFormula:
-    """DIMACS-like reader with a `p dnf` header; terms as 0-terminated
-    literal lines."""
-    num_vars, groups = _parse_dimacs(text, "dnf")
-    return DnfFormula(num_vars, groups)
-
-
-def _parse_dimacs(text: str, kind: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    num_vars = None
-    declared = None
-    groups: list[tuple[int, ...]] = []
-    pending: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != kind:
-                raise ValueError(f"expected 'p {kind} <vars> <groups>' header")
-            num_vars, declared = int(parts[2]), int(parts[3])
-            continue
-        if num_vars is None:
-            raise ValueError("literals before the problem header")
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                groups.append(tuple(pending))
-                pending.clear()
-            else:
-                pending.append(lit)
-    if pending:
-        raise ValueError("unterminated final group (missing 0)")
-    if num_vars is None:
-        raise ValueError("missing problem header")
-    if declared is not None and declared != len(groups):
-        raise ValueError(f"header declares {declared} groups, found {len(groups)}")
-    return num_vars, tuple(groups)

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlxplain.cdcl import BudgetExceeded, Solver, _luby
+from dlxplain.cdcl import OracleTimeout, Solver, _luby
 
 
 def brute_force_sat(num_vars, clauses):
@@ -83,7 +83,7 @@ def test_budget_raises_and_solver_survives():
             for p2 in range(p1 + 1, 7):
                 clauses.append([-var(p1, h), -var(p2, h)])
     s = make_solver(clauses)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(OracleTimeout):
         s.solve(deadline=time.monotonic())  # runs out at the first conflict
     assert s.conflicts == 1
     # still usable and eventually correct

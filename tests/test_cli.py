@@ -337,6 +337,18 @@ def test_encode_dlsat_needs_target(tmp_path, mhs_files, capsys):
         assert not out_dir.exists()
 
 
+def test_encode_explain_needs_instances(tmp_path, mhs_files, capsys):
+    # the explanation query is per instance, so without instances there is
+    # nothing to export, and no empty directory is left behind
+    model, _ = mhs_files
+    out_dir = tmp_path / "enc"
+    code, out, err = run(capsys, "encode", "--model", model,
+                         "--out-dir", str(out_dir))
+    assert code == 2 and out == ""
+    assert err == "error: --instances is required for --query explain\n"
+    assert not out_dir.exists()
+
+
 def test_verify_ok(mhs_files, capsys):
     model, insts = mhs_files
     code, out, _ = run(

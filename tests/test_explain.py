@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlxplain import (
@@ -13,12 +12,21 @@ from dlxplain import (
     reduce_dual,
 )
 from dlxplain.core import AXP, CXP
-from dlxplain.explain import ContractError, load_encoding
+from dlxplain.explain import load_encoding
 
 
 def _session(dl, inst):
     enc = encode_explanation_query(dl, inst)
     return enc, load_encoding(enc)
+
+
+def _answer(enc, ses, kind, feats):
+    """The oracle's answer on whether `feats` is a (not necessarily
+    minimal) explanation of `kind`: an AXp candidate's softs assumed, or
+    every soft outside a CXp candidate."""
+    if kind == CXP:
+        feats = set(range(len(enc.soft))) - set(feats)
+    return ses.solve([enc.soft[j] for j in sorted(feats)])
 
 
 def test_one_axp_dl00(dl00, dl00_instance):
@@ -35,10 +43,13 @@ def test_one_axp_mhs_deletion_order(mhs_dl, mhs_instance):
 
 
 def test_one_axp_agrees_with_reduce_dual(mhs_dl, mhs_instance):
-    # one deletion loop serves both: over every feature, no known CXps
+    # one deletion loop serves both: one_axp's first step finds every
+    # feature but x1 sufficient and goes on from that answer's core, so
+    # reducing the same answer gives the same AXp
     enc, ses = _session(mhs_dl, mhs_instance)
     assert one_axp(enc, ses) == frozenset({2})
-    assert reduce_dual(enc, ses, AXP, range(3)) == frozenset({2})
+    assert reduce_dual(enc, ses, _answer(enc, ses, AXP, range(1, 5))) \
+        == frozenset({2})
 
 
 def test_one_axp_single_default(constant_dl):
@@ -88,9 +99,21 @@ def test_deletion_skips_the_empty_cxp_trial(dl00, dl00_instance):
     before = ses.stats.calls
     assert one_cxp(enc, ses) in {frozenset({2}), frozenset({3})}
     assert ses.stats.calls - before == 1
+
+
+def test_reduce_dual_reduces_its_answer(dl00, dl00_instance):
+    # the answer already proves its seed, so a single-feature CXp seed
+    # costs no further oracle call; the answer's polarity picks the kind
+    enc, ses = _session(dl00, dl00_instance)
+    answer = _answer(enc, ses, CXP, {3})
+    assert answer.sat
     before = ses.stats.calls
-    assert reduce_dual(enc, ses, CXP, {3}) == frozenset({3})
-    assert ses.stats.calls - before == 1
+    assert reduce_dual(enc, ses, answer) == frozenset({3})
+    assert ses.stats.calls == before
+    assert frozenset({3}) in bf_all_cxps(dl00, dl00_instance)
+    answer = _answer(enc, ses, AXP, range(4))
+    assert not answer.sat
+    assert reduce_dual(enc, ses, answer) in bf_all_axps(dl00, dl00_instance)
 
 
 def test_one_cxp_session_reusable_after_call(mhs_dl, mhs_instance):
@@ -107,48 +130,38 @@ def test_one_cxp_session_reusable_after_call(mhs_dl, mhs_instance):
 
 def test_reduce_dual_axp(mhs_dl, mhs_instance):
     enc, ses = _session(mhs_dl, mhs_instance)
-    got = reduce_dual(enc, ses, AXP, {0, 1, 2})
+    got = reduce_dual(enc, ses, _answer(enc, ses, AXP, {0, 1, 2}))
     assert got in {frozenset({2}), frozenset({0, 1})}
 
 
 def test_reduce_dual_cxp_full_release(dl00, dl00_instance):
     enc, ses = _session(dl00, dl00_instance)
-    got = reduce_dual(enc, ses, CXP, set(range(4)))
+    got = reduce_dual(enc, ses, _answer(enc, ses, CXP, range(4)))
     assert got in {frozenset({2}), frozenset({3})}
 
 
 def test_reduce_dual_fixpoint(mhs_dl, mhs_instance):
     enc, ses = _session(mhs_dl, mhs_instance)
-    assert reduce_dual(enc, ses, AXP, {2}) == frozenset({2})
-    assert reduce_dual(enc, ses, CXP, {0, 2}) == frozenset({0, 2})
-
-
-def test_reduce_dual_contract_violation(mhs_dl, mhs_instance):
-    enc, ses = _session(mhs_dl, mhs_instance)
-    with pytest.raises(ContractError):
-        reduce_dual(enc, ses, AXP, {0})   # x1=1 alone is satisfiable
-    with pytest.raises(ContractError):
-        reduce_dual(enc, ses, CXP, {0})   # releasing x1 cannot flip
-    with pytest.raises(ValueError):
-        reduce_dual(enc, ses, "nope", {0})
+    assert reduce_dual(enc, ses, _answer(enc, ses, AXP, {2})) \
+        == frozenset({2})
+    assert reduce_dual(enc, ses, _answer(enc, ses, CXP, {0, 2})) \
+        == frozenset({0, 2})
 
 
 def test_reduce_dual_known_family(mhs_dl, mhs_instance):
     enc, ses = _session(mhs_dl, mhs_instance)
     cxps = bf_all_cxps(mhs_dl, mhs_instance)
-    axps = bf_all_axps(mhs_dl, mhs_instance)
     calls = []
     for known in ((), cxps):
+        # every feature assumed: the core is {x1, x2}
+        answer = _answer(enc, ses, AXP, range(5))
         before = ses.stats.calls
-        got = reduce_dual(enc, ses, AXP, range(5), known=known)
-        assert got == frozenset({2})
+        got = reduce_dual(enc, ses, answer, known=known)
+        assert got == frozenset({0, 1})
         calls.append(ses.stats.calls - before)
-    # the step that drops x3 tries the empty set, which misses both CXps
-    assert calls == [3, 2]
-    with pytest.raises(ContractError):
-        reduce_dual(enc, ses, AXP, {0}, known=cxps)
-    with pytest.raises(ContractError):
-        reduce_dual(enc, ses, CXP, {0}, known=axps)
+    # dropping x1 leaves {x2}, which misses the CXp {x1, x3}, and dropping
+    # x2 leaves {x1}, which misses {x2, x3}
+    assert calls == [2, 0]
 
 
 def _sorted_family(family):
@@ -184,8 +197,11 @@ def test_reduce_dual_known_family_only_skips_calls(data):
                       label="known")
     enc = encode_explanation_query(dl, inst)
     plain_ses, guided_ses = load_encoding(enc), load_encoding(enc)
-    plain = reduce_dual(enc, plain_ses, kind, candidate)
-    guided = reduce_dual(enc, guided_ses, kind, candidate, known=known)
+    plain = reduce_dual(enc, plain_ses,
+                        _answer(enc, plain_ses, kind, candidate))
+    guided = reduce_dual(enc, guided_ses,
+                         _answer(enc, guided_ses, kind, candidate),
+                         known=known)
     assert plain in family
     assert guided == plain
     assert guided_ses.stats.calls <= plain_ses.stats.calls

@@ -11,8 +11,6 @@ from dlxplain import (
     cnf_to_dl,
     dnfim_to_dl,
     encode_dlsat,
-    parse_dimacs_cnf,
-    parse_dimacs_dnf,
 )
 from dlxplain.oracle import OracleSession
 
@@ -131,29 +129,10 @@ def test_random_dnf_implicant_agreement():
         assert (not sat_encoded(dl, POS)) == expected
 
 
-def test_parse_dimacs_cnf():
-    text = """c comment
-p cnf 3 2
-1 -2 0
-2 3 0
-"""
-    phi = parse_dimacs_cnf(text)
-    assert phi.num_vars == 3
-    assert phi.clauses == ((1, -2), (2, 3))
-
-
-def test_parse_dimacs_dnf():
-    text = "p dnf 2 2\n1 2 0\n-1 0\n"
-    psi = parse_dimacs_dnf(text)
-    assert psi.terms == ((1, 2), (-1,))
-
-
-def test_parse_dimacs_errors():
-    with pytest.raises(ValueError, match="header"):
-        parse_dimacs_cnf("1 2 0\n")
-    with pytest.raises(ValueError, match="unterminated"):
-        parse_dimacs_cnf("p cnf 2 1\n1 2\n")
-    with pytest.raises(ValueError, match="declares"):
-        parse_dimacs_cnf("p cnf 2 5\n1 2 0\n")
+def test_formula_literal_checks():
     with pytest.raises(ValueError, match="out of range"):
-        parse_dimacs_cnf("p cnf 1 1\n2 0\n")
+        CnfFormula(1, ((2,),))
+    with pytest.raises(ValueError, match="out of range"):
+        DnfFormula(2, ((1, 0),))
+    with pytest.raises(ValueError, match="at least one variable"):
+        CnfFormula(0, ())
