@@ -76,11 +76,11 @@ class HittingSetOracle:
             raise ContractError(f"set {sorted(s)} leaves the universe")
         for e in s:
             self.sets_with[e].append(s)
-        self.session.add_clause([self.elem_var[e] for e in sorted(s)])
+        self.session.add_clause([self.elem_var[e] for e in s])
 
     def block(self, s) -> None:
         """Never again emit `s` or any superset of it."""
-        self.session.add_clause([-self.elem_var[e] for e in sorted(s)])
+        self.session.add_clause([-self.elem_var[e] for e in s])
 
     def next(self, deadline: float | None = None) -> frozenset | None:
         """A subset-minimal unblocked hitting set, or None."""
@@ -169,7 +169,7 @@ def enumerate_cxp_lbx(
     try:
         while (cxp := one_cxp(enc, session, deadline=deadline)) is not None:
             report.cxps.append(cxp)
-            session.add_clause([enc.soft[j] for j in sorted(cxp)],
+            session.add_clause([enc.soft[j] for j in cxp],
                                selector=selector)
     except OracleTimeout:
         report.complete = False

@@ -294,19 +294,21 @@ def test_criterion_6_horn_fastpath_search_free(corpus):
     cases, _ = corpus
     ok = False
     try:
-        import dlxplain.cdcl as cdcl
-
         restricted = [c for c in cases
                       if c.restricted and check_restricted(c.dl, strict=True)]
         assert restricted, "corpus must contain restricted models"
-        original = cdcl.Solver.solve
+        originals = {name: getattr(OracleSession, name)
+                     for name in ("solve", "solve_under_assumptions")}
         search_calls = []
 
-        def spy(self, *args, **kwargs):
-            search_calls.append(1)
-            return original(self, *args, **kwargs)
+        def spy(original):
+            def call(self, *args, **kwargs):
+                search_calls.append(1)
+                return original(self, *args, **kwargs)
+            return call
 
-        cdcl.Solver.solve = spy
+        for name, original in originals.items():
+            setattr(OracleSession, name, spy(original))
         try:
             outputs = []
             for case in restricted:
@@ -315,7 +317,8 @@ def test_criterion_6_horn_fastpath_search_free(corpus):
                 assert query.checks_used <= m + 1, (case.inst, query.checks_used)
                 outputs.append((case, axp))
         finally:
-            cdcl.Solver.solve = original
+            for name, original in originals.items():
+                setattr(OracleSession, name, original)
         assert not search_calls, "polynomial path must not invoke CDCL search"
         # the outputs also satisfy the criterion-3 style audit
         for case, axp in outputs:

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlxplain.cdcl import OracleTimeout, Solver, _luby
+from dlxplain.oracle import OracleSession, OracleTimeout, _luby
 
 
 def brute_force_sat(num_vars, clauses):
@@ -22,47 +22,46 @@ def brute_force_sat(num_vars, clauses):
 
 
 def make_solver(clauses):
-    s = Solver()
+    s = OracleSession()
     for cl in clauses:
         s.add_clause(cl)
     return s
 
 
 def test_unit_and_conflict():
-    s = Solver()
+    s = OracleSession()
     s.add_clause([1])
-    sat, model, _ = s.solve()
-    assert sat and model[1]
+    res = s.solve()
+    assert res.sat and res.model[1]
     s.add_clause([-1])
-    sat, _, core = s.solve()
-    assert not sat
-    assert core == []
+    res = s.solve()
+    assert not res.sat
+    assert res.core == []
 
 
 def test_simple_backtracking():
     s = make_solver([[1, 2], [-1, 2], [1, -2]])
-    sat, model, _ = s.solve()
-    assert sat and model[1] and model[2]
+    res = s.solve()
+    assert res.sat and res.model[1] and res.model[2]
 
 
 def test_assumptions_and_core():
     s = make_solver([[-1, -2]])
-    sat, _, core = s.solve([1, 2])
-    assert not sat
-    assert set(core) <= {1, 2} and core
+    res = s.solve([1, 2])
+    assert not res.sat
+    assert set(res.core) <= {1, 2} and res.core
     # restricting to the core stays unsatisfiable
-    sat2, _, _ = s.solve(core)
-    assert not sat2
+    assert not s.solve(res.core).sat
     # each assumption alone is fine
-    assert s.solve([1])[0]
-    assert s.solve([2])[0]
+    assert s.solve([1]).sat
+    assert s.solve([2]).sat
 
 
 def test_conflicting_assumptions():
     s = make_solver([[1, 2]])
-    sat, _, core = s.solve([3, -3])
-    assert not sat
-    assert set(core) == {3, -3}
+    res = s.solve([3, -3])
+    assert not res.sat
+    assert set(res.core) == {3, -3}
 
 
 def test_luby_prefix():
@@ -84,11 +83,10 @@ def test_budget_raises_and_solver_survives():
                 clauses.append([-var(p1, h), -var(p2, h)])
     s = make_solver(clauses)
     with pytest.raises(OracleTimeout):
-        s.solve(deadline=time.monotonic())  # runs out at the first conflict
-    assert s.conflicts == 1
+        s.solve(deadline=time.monotonic() - 1)  # spent before the call
+    assert s.stats.conflicts == 0  # raised at entry, before any search
     # still usable and eventually correct
-    sat, _, _ = s.solve()
-    assert not sat
+    assert not s.solve().sat
 
 
 def _random_cnf(rng, num_vars, num_clauses, width):
@@ -107,11 +105,11 @@ def test_random_cnf_agreement_with_enumeration():
         clauses = _random_cnf(rng, n, rng.randint(1, 24), 3)
         s = make_solver(clauses)
         s.ensure_vars(n)
-        sat, model, _ = s.solve()
+        res = s.solve()
         expected = brute_force_sat(n, clauses)
-        assert sat == expected, (trial, clauses)
-        if sat:
-            bits = [model[v] for v in range(1, n + 1)]
+        assert res.sat == expected, (trial, clauses)
+        if res.sat:
+            bits = [res.model[v] for v in range(1, n + 1)]
             assert all(
                 any(bits[abs(l) - 1] == (l > 0) for l in cl) for cl in clauses
             ), (trial, clauses)
@@ -125,13 +123,13 @@ def test_random_assumption_cores():
         assumps = [v if rng.random() < 0.5 else -v
                    for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
         s = make_solver(clauses)
-        sat, model, core = s.solve(assumps)
+        res = s.solve(assumps)
         expected = brute_force_sat(n, clauses + [[a] for a in assumps])
-        assert sat == expected, (trial, clauses, assumps)
-        if not sat and s.ok:
-            assert set(core) <= set(assumps)
-            sat2, _, _ = s.solve(core)
-            assert not sat2, (trial, clauses, assumps, core)
+        assert res.sat == expected, (trial, clauses, assumps)
+        if not res.sat and s.ok:
+            assert set(res.core) <= set(assumps)
+            assert not s.solve(res.core).sat, (trial, clauses, assumps,
+                                               res.core)
 
 
 def test_monotonic_under_clause_addition():
@@ -141,10 +139,10 @@ def test_monotonic_under_clause_addition():
         clauses = _random_cnf(rng, n, rng.randint(2, 10), 3)
         assumps = [rng.choice([v, -v]) for v in range(1, n + 1)]
         s = make_solver(clauses)
-        first = s.solve(assumps)[0]
+        first = s.solve(assumps).sat
         for extra in _random_cnf(rng, n, 4, 3):
             s.add_clause(extra)
-            second = s.solve(assumps)[0]
+            second = s.solve(assumps).sat
             if not first:
                 assert not second  # UNSAT can never become SAT
             first = second
@@ -156,29 +154,29 @@ def test_determinism():
     runs = []
     for _ in range(2):
         s = make_solver(clauses)
-        sat, model, _ = s.solve()
-        runs.append((sat, model))
+        res = s.solve()
+        runs.append((res.sat, res.model))
     assert runs[0] == runs[1]
 
 
 def test_incremental_solving_with_phases():
     s = make_solver([[1, 2, 3]])
-    sat, model, _ = s.solve(prefer=[1])
-    assert sat and model[1]
+    res = s.solve(prefer=[1])
+    assert res.sat and res.model[1]
     s.add_clause([-1])
-    sat, model, _ = s.solve()
-    assert sat and not model[1]
+    res = s.solve()
+    assert res.sat and not res.model[1]
     s.add_clause([-2])
-    sat, model, _ = s.solve()
-    assert sat and model[3]
+    res = s.solve()
+    assert res.sat and res.model[3]
 
 
 def test_tautology_and_duplicate_literals():
-    s = Solver()
+    s = OracleSession()
     s.add_clause([1, -1])       # dropped as a tautology
     s.add_clause([2, 2, 2])     # collapses to a unit
-    sat, model, _ = s.solve()
-    assert sat and model[2]
+    res = s.solve()
+    assert res.sat and res.model[2]
 
 
 def test_models_survive_activity_rescale():
@@ -191,11 +189,11 @@ def test_models_survive_activity_rescale():
                    for _ in range(120)]
         s = make_solver(clauses)
         s.var_inc = 1e99
-        sat, model, _ = s.solve()
-        if sat:
+        res = s.solve()
+        if res.sat:
             sat_count += 1
             assert all(
-                any(model[abs(l)] == (l > 0) for l in cl) for cl in clauses
+                any(res.model[abs(l)] == (l > 0) for l in cl) for cl in clauses
             ), seed
     assert sat_count > 200
 
@@ -220,21 +218,21 @@ def _stored(s):
 
 def test_simplify_removes_what_level_0_decides():
     s = make_solver([[1, 2, 3], [-1, 4, 5], [2, -3, 5]])
-    assert s.solve()[0]
+    assert s.solve().sat
     s.add_clause([1])
     assert s.simplify()
     # [1, 2, 3] is satisfied, -1 is false: only the rest is kept
     assert _stored(s) == {frozenset({4, 5}), frozenset({2, -3, 5})}
     assert all(len(w) <= 2 for w in s.watches)
-    assert not s.solve([-4, -5])[0]
-    sat, model, _ = s.solve([-2, 3])
-    assert sat and model[5]
+    assert not s.solve([-4, -5]).sat
+    res = s.solve([-2, 3])
+    assert res.sat and res.model[5]
     s.add_clause([-5])
     assert s.simplify()
     assert _stored(s) == {frozenset({2, -3})}
-    assert s.solve()[1][4]
+    assert s.solve().model[4]
     s.add_clause([-4])
-    assert not s.simplify() and not s.solve()[0]
+    assert not s.simplify() and not s.solve().sat
 
 
 def test_simplify_and_learnt_reduction_keep_answers():
@@ -259,11 +257,11 @@ def test_simplify_and_learnt_reduction_keep_answers():
                     assert [i for i, ws in enumerate(s.watches)
                             for e in ws if e[0] is cl] == sorted(cl[:2])
             assumps = [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), 2)]
-            sat, model, _ = s.solve(assumps)
-            assert sat == make_solver(clauses).solve(assumps)[0], trial
-            if sat:
+            res = s.solve(assumps)
+            assert res.sat == make_solver(clauses).solve(assumps).sat, trial
+            if res.sat:
                 full = clauses + [[a] for a in assumps]
-                assert all(any(model[abs(l)] == (l > 0) for l in cl)
+                assert all(any(res.model[abs(l)] == (l > 0) for l in cl)
                            for cl in full), trial
 
 
@@ -322,21 +320,20 @@ def test_hypothesis_random_formulas(data):
         )
     )
     s = make_solver(clauses)
-    sat, model, _ = s.solve()
-    assert sat == brute_force_sat(n, clauses)
+    assert s.solve().sat == brute_force_sat(n, clauses)
 
 
 def test_prefer_wins_over_saved_phases():
     # assuming 1 sets 2 false and 3 true; the next call drops that level,
     # and the backtrack saves those values as phases
     s = make_solver([[-1, -2], [-1, 3]])
-    sat, model, _ = s.solve([1])
-    assert sat and not model[2] and model[3]
-    sat, model, _ = s.solve([-1], prefer=[2, -3])
-    assert sat and model[2] and not model[3]
+    res = s.solve([1])
+    assert res.sat and not res.model[2] and res.model[3]
+    res = s.solve([-1], prefer=[2, -3])
+    assert res.sat and res.model[2] and not res.model[3]
     # a preferred literal the clauses forbid stays false
-    sat, model, _ = s.solve([1], prefer=[2, -3])
-    assert sat and not model[2] and model[3]
+    res = s.solve([1], prefer=[2, -3])
+    assert res.sat and not res.model[2] and res.model[3]
 
 
 def _literals(n):
@@ -362,11 +359,11 @@ def test_call_sequences_agree_with_fresh_solvers(data):
         keep = data.draw(st.integers(0, len(assumps)))
         assumps = assumps[:keep] + data.draw(st.lists(_literals(n), max_size=4))
         prefer = data.draw(st.lists(_literals(n), max_size=3))
-        sat, model, core = s.solve(assumps, prefer=prefer)
-        assert sat == make_solver(clauses).solve(assumps)[0]
-        if sat:
-            assert all(any(model[abs(l)] == (l > 0) for l in cl)
+        res = s.solve(assumps, prefer=prefer)
+        assert res.sat == make_solver(clauses).solve(assumps).sat
+        if res.sat:
+            assert all(any(res.model[abs(l)] == (l > 0) for l in cl)
                        for cl in clauses + [[a] for a in assumps])
         else:
-            assert set(core) <= set(assumps)
-            assert not make_solver(clauses).solve(core)[0]
+            assert set(res.core) <= set(assumps)
+            assert not make_solver(clauses).solve(res.core).sat

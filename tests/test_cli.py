@@ -7,11 +7,11 @@ import pytest
 from conftest import CONSTANT_MODEL, MHS_MODEL, SELFDET_MODEL
 from dlxplain import (
     GeneratorParams,
+    OracleSession,
     generate_random_dl,
     generate_random_instances,
     serialize_model,
 )
-from dlxplain.cdcl import Solver
 from dlxplain.cli import build_parser, main
 from dlxplain.model_io import serialize_instances
 
@@ -119,8 +119,8 @@ def test_one_cxp_leaves_its_throwaway_session_unswept(mhs_files, capsys,
     # each one-shot instance gets a fresh session that is dropped after
     # its record, so sweeping it would be wasted work
     sweeps = []
-    real = Solver.simplify
-    monkeypatch.setattr(Solver, "simplify",
+    real = OracleSession.simplify
+    monkeypatch.setattr(OracleSession, "simplify",
                         lambda self: sweeps.append(1) or real(self))
     model, insts = mhs_files
     code, out, _ = run(

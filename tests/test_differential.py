@@ -95,10 +95,10 @@ def _check_engines(encode, dl, insts):
         session = load_encoding(enc)
         assert one_axp(enc, session) in axps
         for ses in (session, shared):
-            size = ses.solver.nvars, len(ses.solver.clauses)
+            size = ses.nvars, len(ses.clauses)
             cxp = one_cxp(enc, ses)
             assert cxp in cxps or (cxp is None and not cxps)
-            assert (ses.solver.nvars, len(ses.solver.clauses)) == size
+            assert (ses.nvars, len(ses.clauses)) == size
 
 
 def _instances(data, dl):

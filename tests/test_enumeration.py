@@ -305,13 +305,12 @@ def test_lbx_run_adds_one_variable_and_no_clauses_to_its_session():
     dl = generate_random_dl(p)
     inst = generate_random_instances(dl, 1, seed=2)[0]
     enc, session = Explainer(dl).query(inst)
-    solver = session.solver
-    nvars, loaded = solver.nvars, len(solver.clauses)
+    nvars, loaded = session.nvars, len(session.clauses)
     rep = enumerate_cxp_lbx(enc, session)
     assert set(rep.cxps) == set(bf_all_cxps(dl, inst))
     assert len(rep.cxps) > 1
-    assert solver.nvars == nvars + 1
-    assert len(solver.clauses) <= loaded
+    assert session.nvars == nvars + 1
+    assert len(session.clauses) <= loaded
 
 
 def test_class_sessions_stay_small_over_a_long_stream():
@@ -325,14 +324,13 @@ def test_class_sessions_stay_small_over_a_long_stream():
     loaded = {}
     for inst in generate_random_instances(dl, 60, seed=1):
         enc, session = explainer.query(inst)
-        solver = session.solver
         loaded.setdefault(enc.pred_class,
-                          len(solver.clauses) + len(solver.learnts))
+                          len(session.clauses) + len(session.learnts))
         axps, cxps = set(bf_all_axps(dl, inst)), set(bf_all_cxps(dl, inst))
         assert set(enumerate_cxp_lbx(enc, session).cxps) == cxps
         for target in (AXP, CXP):
             rep = enumerate_marco(enc, session, target)
             assert (set(rep.axps), set(rep.cxps)) == (axps, cxps)
-        size = len(solver.clauses) + len(solver.learnts)
+        size = len(session.clauses) + len(session.learnts)
         assert size < 2 * loaded[enc.pred_class]
     assert len(explainer.sessions) == 2

@@ -74,8 +74,8 @@ def test_one_cxp_no_cxp_exists(constant_dl):
     assert one_cxp(enc, ses) is None
 
 
-def _clause_set(solver):
-    return sorted(sorted(c) for c in solver.clauses)
+def _clause_set(ses):
+    return sorted(sorted(c) for c in ses.clauses)
 
 
 def test_one_cxp_leaves_its_session_as_it_found_it(mhs_dl, mhs_instance,
@@ -84,11 +84,10 @@ def test_one_cxp_leaves_its_session_as_it_found_it(mhs_dl, mhs_instance,
     # variable and no selector outlives the call
     for dl, inst in ((mhs_dl, mhs_instance), (dl00, dl00_instance)):
         enc, ses = _session(dl, inst)
-        solver = ses.solver
-        nvars, clauses = solver.nvars, _clause_set(solver)
+        nvars, clauses = ses.nvars, _clause_set(ses)
         assert one_cxp(enc, ses) in bf_all_cxps(dl, inst)
-        assert solver.nvars == nvars
-        assert _clause_set(solver) == clauses
+        assert ses.nvars == nvars
+        assert _clause_set(ses) == clauses
         assert ses.selectors == []
 
 

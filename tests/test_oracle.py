@@ -56,9 +56,9 @@ def test_retiring_a_selector_sweeps_its_clauses_at_once():
     sel = ses.new_selector()
     ses.add_clause([-1, 2], selector=sel)
     ses.add_clause([-2, 3], selector=sel)
-    assert len(ses.solver.clauses) == 3
+    assert len(ses.clauses) == 3
     ses.retire_selector(sel)
-    assert len(ses.solver.clauses) == 1
+    assert len(ses.clauses) == 1
     assert ses.solve([1, -2]).sat
 
 
@@ -93,13 +93,32 @@ def test_mhs_encoding_assumption_answers(mhs_dl, mhs_instance):
 
 
 def test_stats_accumulate(mhs_dl, mhs_instance):
+    # one stats object counts in place, so a caller may hold it across a
+    # call and read its fields afterwards
     enc = encode_explanation_query(mhs_dl, mhs_instance)
     ses = load_encoding(enc)
-    before = ses.stats.calls
+    s = ses.stats
+    propagations = s.propagations
     ses.solve(enc.soft)
+    assert ses.stats is s
+    assert s.calls == 1 and s.propagations > propagations
     ses.solve([])
-    assert ses.stats.calls == before + 2
-    assert ses.stats.sat_answers >= 1 and ses.stats.unsat_answers >= 1
+    assert s.calls == 2
+    assert s.sat_answers >= 1 and s.unsat_answers >= 1
+
+
+def test_literal_zero_is_rejected():
+    # 0 ends a DIMACS clause and is no literal: read as one, it would
+    # alias the last variable's watch list and value
+    ses = OracleSession(2)
+    with pytest.raises(ValueError, match="0 is not a literal"):
+        ses.add_clause([1, 0])
+    for assumptions, prefer in (([0], ()), ([-1], [0])):
+        with pytest.raises(ValueError, match="0 is not a literal"):
+            ses.solve(assumptions, prefer=prefer)
+    assert ses.clauses == [] and ses.stats.calls == 0
+    ses.add_clause([1])
+    assert not ses.solve([-1]).sat
 
 
 def test_timeout_is_explicit():

@@ -9,8 +9,8 @@ from pathlib import Path
 from dlxplain import parse_model
 from dlxplain.cli import main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-    encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _block(after: str, fence: str = "```") -> str:
@@ -50,3 +50,13 @@ def test_readme_sample_run_prints_its_record(tmp_path, monkeypatch, capsys):
     # the printed record elides some fields with "..."
     shown = json.loads("{" + printed.replace("...,", ""))
     assert shown == {k: got[k] for k in shown}
+
+
+def test_readme_contents_table_names_every_module():
+    table = README[README.index("## Contents"):].split("\n## ", 1)[0]
+    listed = set()
+    for row in table.splitlines():
+        if row.startswith("|"):
+            listed.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+    modules = {p.stem for p in (ROOT / "src" / "dlxplain").glob("*.py")}
+    assert listed == modules - {"__init__"}
