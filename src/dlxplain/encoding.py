@@ -6,15 +6,21 @@ fires first" (a misclassification, impossible while v is pinned), and the
 soft clauses are the instance literals, one unit per feature.  AXps are
 then MUSes and CXps are MCSes of the pair.
 
+Both encoders encode only the live rules, those that fire first on some
+point (`DecisionList.live_rules`, computed once per model).  An AXp or a
+CXp depends only on the function the list computes (Ignatiev, Narodytska
+& Marques-Silva, AAAI 2019), and deleting a rule that never fires first
+leaves that function as it is; inconsistent rules are never live.
+
 Feature values use one boolean per (feature, value) with an at-least-one
 clause plus pairwise at-most-one clauses.  "No rule of a banned class fires
 first" only needs "every banned rule that holds has an earlier rule of
 another class that holds", so it is polarity-reduced (Plaisted &
 Greenbaum, JSC 1986): other-class rules occur only positively and get the
-one direction t -> antecedent, banned rules get no variable at all, and
-inconsistent rules drop out.  The explanation query bans the predicted
-class, and DL-SAT is the same query with every class but the target
-banned.  Only the sequential encoding keeps biconditional definitions.
+one direction t -> antecedent, and banned rules get no variable at all.
+The explanation query bans the predicted class, and DL-SAT is the same
+query with every class but the target banned.  Only the sequential
+encoding keeps biconditional definitions.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ class VarMap:
     """Roles of the propositional variables, allocated contiguously from 1.
 
     b[(j, v)]  feature j takes value v
-    t[k]       antecedent of consistent rule k holds; the reduced queries
+    t[k]       antecedent of live rule k holds; the reduced queries
                give one only to rules of a class they do not ban, and
                there it only implies the antecedent
     p[k], q[k] "rule k fires the predicted class" / "fired at or before k"
@@ -55,16 +61,21 @@ class VarMap:
 class Encoding:
     """Hard clauses for a predicted class, the instance point they are
     asked about, and the point's soft unit literals, one per feature in
-    feature order (derived from the point, never passed in)."""
+    feature order (derived from the point, never passed in).  `prefer`
+    is the whole point as literals: the softs, then every other value's
+    variable negated."""
 
     varmap: VarMap
     hard: list[list[int]]
     pred_class: int
     point: tuple[int, ...]
     soft: list[int] = field(init=False)
+    prefer: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
         self.soft = [self.varmap.b[(j, v)] for j, v in enumerate(self.point)]
+        self.prefer = self.soft + [-var for (j, v), var in self.varmap.b.items()
+                                   if v != self.point[j]]
 
 
 def _alloc_feature_vars(dl: DecisionList, vm: VarMap) -> None:
@@ -104,21 +115,23 @@ def _forbid(dl: DecisionList, banned: set[int]) -> tuple[VarMap, list[list[int]]
     """Clauses whose models are the points where no rule predicting a
     class in `banned` fires first.
 
-    t[k] exists only for consistent rules of the other classes and implies
-    their antecedent.  A consistent banned rule becomes the one clause
-    "its antecedent fails, or an earlier t holds"; a banned default
-    becomes "some t holds"."""
+    t[k] exists only for live rules of the other classes and implies
+    their antecedent.  A live banned rule becomes the one clause "its
+    antecedent fails, or an earlier t holds"; a banned default becomes
+    "some t holds", which is implied when the live rules cover the
+    space."""
     vm = VarMap()
     _alloc_feature_vars(dl, vm)
-    for k in range(dl.num_rules):
-        if dl.consistent[k] and dl.rules[k].prediction not in banned:
+    for k in dl.live_rules:
+        if dl.rules[k].prediction not in banned:
             vm.t[k] = vm.new_var()
 
     hard = _exactly_one_clauses(dl, vm)
     for k, var in vm.t.items():
         hard.extend([-var, lit] for lit in _antecedent_lits(vm, dl.rules[k]))
-    for k, rule in enumerate(dl.rules):
-        if dl.consistent[k] and rule.prediction in banned:
+    for k in dl.live_rules:
+        rule = dl.rules[k]
+        if rule.prediction in banned:
             hard.append([-lit for lit in _antecedent_lits(vm, rule)]
                         + [var for j, var in vm.t.items() if j < k])
     if dl.default.prediction in banned:
@@ -136,13 +149,10 @@ def encode_explanation_query(dl: DecisionList, inst: Instance) -> Encoding:
 
 
 def _sequential_plan(dl: DecisionList, pred: int) -> tuple[list[int], list[int]]:
-    """Rule indices for the sequential encoding: same-class consistent rules
-    (the default joins them when it matches), other consistent rules."""
-    same = [k for k in dl.rules_predicting(pred) if dl.consistent[k]]
-    others = [
-        k for k in range(dl.num_rules)
-        if dl.rules[k].prediction != pred and dl.consistent[k]
-    ]
+    """Rule indices for the sequential encoding: same-class live rules
+    (the default joins them when it matches), other live rules."""
+    same = [k for k in dl.live_rules if dl.rules[k].prediction == pred]
+    others = [k for k in dl.live_rules if dl.rules[k].prediction != pred]
     if dl.default.prediction == pred:
         same.append(dl.default_index)
     return same, others
@@ -151,7 +161,7 @@ def _sequential_plan(dl: DecisionList, pred: int) -> tuple[list[int], list[int]]
 def encode_alternative(dl: DecisionList, inst: Instance) -> Encoding:
     """Sequential (chained) encoding of the same query, binary classes only.
 
-    t[k] <-> antecedent for every consistent rule.  p[n_r] holds iff rule
+    t[k] <-> antecedent for every live rule.  p[n_r] holds iff rule
     n_r is the first rule firing the predicted class: no earlier same-class
     rule fired, its own antecedent holds, and no preceding other-class rule
     holds.  The final hard unit forbids q of the last same-class rule,
@@ -167,9 +177,8 @@ def encode_alternative(dl: DecisionList, inst: Instance) -> Encoding:
 
     vm = VarMap()
     _alloc_feature_vars(dl, vm)
-    for k in range(dl.num_rules):
-        if dl.consistent[k]:
-            vm.t[k] = vm.new_var()
+    for k in dl.live_rules:
+        vm.t[k] = vm.new_var()
     for n in chain:
         vm.p[n] = vm.new_var()
         vm.q[n] = vm.new_var()

@@ -27,7 +27,10 @@ class Explainer:
     Hard clauses depend only on the model and the predicted class, so the
     session of a class can serve every instance of that class: the first
     instance encodes and loads them, and every later one only gets its own
-    softs.  The engines pin an instance through assumptions.  Only an lbx
+    softs.  Both class encodings read the model's live rules, which its
+    first encoding computes and the model caches.  The engines pin an
+    instance through assumptions and prefer its whole point, since a
+    session's saved phases come from other instances.  Only an lbx
     run adds clauses, its blocking clauses, under one selector that it
     retires before returning, and the retirement sweeps them out again.
     An enumeration reports a sorted set, so the runs of other instances

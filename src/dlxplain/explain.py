@@ -42,13 +42,13 @@ def load_encoding(enc: Encoding) -> OracleSession:
 
 def _query(enc, session, kind, feats, deadline):
     """Solve with the softs of `feats` fixed (AXp) or of every other
-    feature fixed (CXp), preferring the instance's values for the rest.
+    feature fixed (CXp), preferring the instance's point for the rest.
     `feats` is a (not necessarily minimal) explanation iff the answer is
     UNSAT for an AXp and SAT for a CXp."""
     softs = enc.soft
     fixed = feats if kind == AXP else set(range(len(softs))) - set(feats)
     return session.solve([softs[j] for j in sorted(fixed)], deadline=deadline,
-                         prefer=softs)
+                         prefer=enc.prefer)
 
 
 def _features(enc, res) -> set[int]:

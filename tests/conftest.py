@@ -4,12 +4,19 @@ Four small reference models recur throughout the suite: a 2-rule ternary
 model exercising hitting-set duality (three AXps/CXps known by hand), an
 8-rule boolean model for (x1 and x2) or (x3 and x4), a fully
 pairwise-inconsistent boolean model eligible for the polynomial path, and
-a near-miss variant whose rules overlap.
+a near-miss variant whose rules overlap.  `corpus_models` builds the
+acceptance corpus of generated models.
 """
 
 import pytest
 
-from dlxplain import Instance, parse_model
+from dlxplain import (
+    GeneratorParams,
+    Instance,
+    generate_random_dl,
+    generate_restricted_dl,
+    parse_model,
+)
 
 MHS_MODEL = """\
 feature x1 : 0, 1, 2
@@ -132,3 +139,32 @@ def tiny_dl():
 @pytest.fixture(scope="session")
 def constant_dl():
     return parse_model(CONSTANT_MODEL)
+
+
+def corpus_models():
+    """The acceptance corpus: 160 random and 48 restricted generated
+    models, each paired with whether it is restricted."""
+    models = []
+    for seed in range(160):
+        m = 3 + seed % 6
+        params = GeneratorParams(
+            seed=seed,
+            num_features=m,
+            domain_size=2 + seed % 2,
+            num_rules=1 + (seed * 7) % 12,
+            max_antecedent_len=min(1 + seed % 4, m),
+            num_classes=2 + seed % 2,
+        )
+        models.append((generate_random_dl(params), False))
+    for seed in range(48):
+        m = 3 + seed % 6
+        params = GeneratorParams(
+            seed=seed,
+            num_features=m,
+            domain_size=2 + seed % 2,
+            num_rules=1 + seed % 8,
+            max_antecedent_len=min(2 + seed % 3, m),
+            num_classes=2 + seed % 2,
+        )
+        models.append((generate_restricted_dl(params), True))
+    return models

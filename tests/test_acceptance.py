@@ -34,7 +34,6 @@ from dlxplain import (
     enumerate_marco,
     generate_random_dl,
     generate_random_instances,
-    generate_restricted_dl,
     horn_axp_detailed,
     one_axp,
     one_cxp,
@@ -45,7 +44,7 @@ from dlxplain.core import AXP, CXP
 from dlxplain.explain import load_encoding
 from dlxplain.oracle import OracleSession
 
-from conftest import DL00_MODEL, MHS_MODEL, SELFDET_MODEL
+from conftest import DL00_MODEL, MHS_MODEL, SELFDET_MODEL, corpus_models
 
 
 def _announce(num: int, name: str, ok: bool) -> None:
@@ -68,38 +67,11 @@ class Case:
     emitted: list = field(default_factory=list)  # (kind, frozenset)
 
 
-def _corpus_models():
-    models = []
-    for seed in range(160):
-        m = 3 + seed % 6
-        params = GeneratorParams(
-            seed=seed,
-            num_features=m,
-            domain_size=2 + seed % 2,
-            num_rules=1 + (seed * 7) % 12,
-            max_antecedent_len=min(1 + seed % 4, m),
-            num_classes=2 + seed % 2,
-        )
-        models.append((generate_random_dl(params), False))
-    for seed in range(48):
-        m = 3 + seed % 6
-        params = GeneratorParams(
-            seed=seed,
-            num_features=m,
-            domain_size=2 + seed % 2,
-            num_rules=1 + seed % 8,
-            max_antecedent_len=min(2 + seed % 3, m),
-            num_classes=2 + seed % 2,
-        )
-        models.append((generate_restricted_dl(params), True))
-    return models
-
-
 @pytest.fixture(scope="module")
 def corpus():
     start = time.monotonic()
     cases = []
-    for idx, (dl, restricted) in enumerate(_corpus_models()):
+    for idx, (dl, restricted) in enumerate(corpus_models()):
         for inst in generate_random_instances(dl, 5, 9000 + idx):
             case = Case(dl, inst, restricted)
             case.bf_axps = bf_all_axps(dl, inst)

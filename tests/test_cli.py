@@ -504,6 +504,20 @@ def load_counter(monkeypatch):
     return loads
 
 
+@pytest.fixture
+def live_counter(monkeypatch):
+    """Models whose live rules were computed."""
+    import dlxplain.core as core
+    runs = []
+
+    def counting(dl, real=core._live_rules):
+        runs.append(dl)
+        return real(dl)
+
+    monkeypatch.setattr(core, "_live_rules", counting)
+    return runs
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["explain", "--mode", "enum-lbx"], 2),
     (["explain", "--mode", "enum-marco-axp"], 2),
@@ -513,9 +527,10 @@ def load_counter(monkeypatch):
     (["explain", "--mode", "one-axp"], len(MIXED_ROWS)),
 ])
 def test_sessions_load_once_per_class_in_enum_modes(
-        tmp_path, capsys, load_counter, argv, expected):
+        tmp_path, capsys, load_counter, live_counter, argv, expected):
     # enumeration modes and verify share one session per predicted class;
-    # one-shot modes load a fresh session per instance
+    # one-shot modes load a fresh session per instance; every encoding of
+    # a command reads one cached live-rule check
     model = tmp_path / "model.dl"
     model.write_text(MHS_MODEL)
     insts = _write_rows(tmp_path, "insts.csv", MIXED_ROWS)
@@ -524,6 +539,7 @@ def test_sessions_load_once_per_class_in_enum_modes(
     assert code == 0
     assert len(load_counter) == expected
     assert len(set(load_counter)) == 2
+    assert len(live_counter) == 1
 
 
 @pytest.mark.parametrize("mode", ["enum-lbx", "enum-marco-axp",

@@ -8,10 +8,16 @@ domain, multi-class models with any default class, and default-only
 models.  The enumeration modes run 2-4 instances per model through one
 `Explainer`, as the command line does.  The encodings themselves are
 checked against the class table: DL-SAT for every class, and the model
-set of each explanation query's hard clauses.
+set of each explanation query's hard clauses.  A second strategy builds
+lists with dead rules, which the encodings leave out: rules shadowed by
+the union of earlier rules, and a default that never fires.
 """
 
+from unittest.mock import patch
+
 from hypothesis import given, settings, strategies as st
+
+import dlxplain.core as core
 
 from dlxplain import (
     DecisionList,
@@ -33,7 +39,7 @@ from dlxplain import (
     one_cxp,
 )
 from dlxplain.bruteforce import class_table, hard_model_points
-from dlxplain.core import AXP, CXP
+from dlxplain.core import AXP, CXP, classify
 from dlxplain.explain import _features, _query
 from dlxplain.oracle import OracleSession
 
@@ -168,3 +174,66 @@ def test_encodings_match_bruteforce_on_arbitrary_shapes(data):
             enc = encode(dl, inst)
             assert hard_model_points(dl, enc) == {
                 p for p in dl.space.points() if table[p] != enc.pred_class}
+
+
+@st.composite
+def shadowed_lists(draw):
+    """Lists built from blocks, each of one of three shapes: a random rule
+    (possibly inconsistent); rules `base & x_f=v` for every value v of one
+    feature f, then `base` itself, which their union shadows although no
+    single one of them contains it; or rules `x_f=v` for every v, which
+    cover the space, so every later rule and the default are dead.  The
+    classes are drawn freely, so dead rules of every class occur.
+    Returns the list and the rules that are dead by construction."""
+    domains = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    num_classes = draw(st.integers(2, 3))
+    space = FeatureSpace(
+        tuple(f"x{j + 1}" for j in range(len(domains))),
+        tuple(tuple(str(v) for v in range(d)) for d in domains),
+        tuple(f"c{k}" for k in range(num_classes)),
+    )
+    classes = st.integers(0, num_classes - 1)
+    rules, dead = [], set()
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(("random", "shadowed", "cover")))
+        base = draw(antecedents(domains)) if shape != "cover" else ()
+        free = sorted(set(range(len(domains))) - {l.feature for l in base})
+        if shape == "random" or not free:
+            rules.append(Rule(base, draw(classes)))
+            continue
+        f = draw(st.sampled_from(free))
+        rules.extend(Rule(base + (Literal(f, True, v),), draw(classes))
+                     for v in range(domains[f]))
+        if shape == "shadowed":
+            dead.add(len(rules))
+            rules.append(Rule(base, draw(classes)))
+    return DecisionList(space, tuple(rules), Rule((), draw(classes))), dead
+
+
+def _fired_first(dl):
+    """Brute force: the rules that fire first on some point."""
+    return {classify(dl, p)[1] for p in dl.space.points()} - {dl.default_index}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dead_rules_leave_every_answer_unchanged(data):
+    dl, dead = data.draw(shadowed_lists(), label="model")
+    live = _fired_first(dl)
+    assert set(dl.live_rules) == live
+    assert not dead & live
+    # the same rules when the SAT session decides what the box split did
+    with patch.object(core, "ESCAPE_BUDGET", 0):
+        assert core._live_rules(dl) == dl.live_rules
+    table = class_table(dl)
+    insts = _instances(data, dl)
+    encoders = [encode_explanation_query]
+    if len(dl.space.classes) == 2:
+        encoders.append(encode_alternative)
+    for encode in encoders:
+        for inst in insts:
+            enc = encode(dl, inst)
+            assert set(enc.varmap.t) <= live
+            assert hard_model_points(dl, enc) == {
+                p for p in dl.space.points() if table[p] != enc.pred_class}
+        _check_engines(encode, dl, insts)
