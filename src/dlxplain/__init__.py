@@ -17,9 +17,7 @@ from .core import (
     Rule,
     classify,
     eval_term,
-    instance_literals,
     is_self_determining,
-    terms_consistent,
 )
 from .model_io import (
     GeneratorParams,

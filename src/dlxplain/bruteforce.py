@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .core import DecisionList, Instance, InputError, allowed_values
+from .core import DecisionList, Instance, InputError
 from .encoding import Encoding
 
 
@@ -35,10 +35,19 @@ def _check_bounds(dl: DecisionList, max_points: int, max_features: int) -> None:
         )
 
 
-def _rule_mask(dl: DecisionList, rule, shape) -> np.ndarray:
-    m = dl.space.num_features
+def _check_class(dl: DecisionList, target: int) -> None:
+    if not 0 <= target < len(dl.space.classes):
+        raise InputError(f"unknown class index {target}")
+
+
+def _term_mask(term, shape) -> np.ndarray:
+    """The points of the space, one axis per feature, where every literal
+    of `term` holds."""
+    m = len(shape)
     mask = np.ones(shape, dtype=bool)
-    for lit in rule.antecedent:
+    for lit in term:
+        if not (0 <= lit.feature < m and 0 <= lit.value < shape[lit.feature]):
+            raise InputError(f"literal {lit} lies outside the feature space")
         ax = np.arange(shape[lit.feature]).reshape(
             [1] * lit.feature + [shape[lit.feature]] + [1] * (m - lit.feature - 1)
         )
@@ -55,7 +64,7 @@ def class_table(dl: DecisionList) -> np.ndarray:
     shape = tuple(space.domain_size(j) for j in range(space.num_features))
     table = np.full(shape, dl.default.prediction, dtype=np.int16)
     for rule in reversed(dl.rules):
-        table[_rule_mask(dl, rule, shape)] = rule.prediction
+        table[_term_mask(rule.antecedent, shape)] = rule.prediction
     return table
 
 
@@ -65,7 +74,7 @@ def rule_table(dl: DecisionList) -> np.ndarray:
     shape = tuple(space.domain_size(j) for j in range(space.num_features))
     table = np.full(shape, dl.default_index, dtype=np.int32)
     for i in reversed(range(dl.num_rules)):
-        table[_rule_mask(dl, dl.rules[i], shape)] = i
+        table[_term_mask(dl.rules[i].antecedent, shape)] = i
     return table
 
 
@@ -79,7 +88,7 @@ def hard_model_points(dl: DecisionList, enc: Encoding) -> frozenset[tuple[int, .
     fires = rule_table(dl)
     vm = enc.varmap
     vals = {var: coords[j] == v for (j, v), var in vm.b.items()}
-    vals.update((var, _rule_mask(dl, dl.rules[k], shape))
+    vals.update((var, _term_mask(dl.rules[k].antecedent, shape))
                 for k, var in vm.t.items())
     fired = np.zeros(shape, dtype=bool)
     for n, var in vm.q.items():  # chain order
@@ -180,6 +189,7 @@ def bf_dlsat(
 ) -> bool:
     """Does any point classify as `target`?"""
     _check_bounds(dl, max_points, max_features)
+    _check_class(dl, target)
     return bool((class_table(dl) == target).any())
 
 
@@ -190,15 +200,9 @@ def bf_dlim(
     max_points: int = DEFAULT_MAX_POINTS,
     max_features: int = DEFAULT_MAX_FEATURES,
 ) -> bool:
-    """Does the literal conjunction entail the target class everywhere?"""
+    """Does the literal conjunction entail the target class everywhere?
+    An inconsistent premise vacuously does."""
     _check_bounds(dl, max_points, max_features)
-    term = tuple(term)
+    _check_class(dl, target)
     table = class_table(dl)
-    lists = []
-    for j in range(dl.space.num_features):
-        allowed = sorted(allowed_values(term, dl.space, j))
-        if not allowed:
-            return True  # inconsistent premise: vacuously an implicant
-        lists.append(allowed)
-    region = table[np.ix_(*lists)]
-    return bool((region == target).all())
+    return bool((table[_term_mask(term, table.shape)] == target).all())

@@ -146,28 +146,6 @@ class Rule:
         return frozenset(l.feature for l in self.antecedent)
 
 
-def allowed_values(term: Iterable[Literal], space: FeatureSpace, feature: int) -> set[int]:
-    """Values of `feature` compatible with every literal of `term` on it."""
-    allowed = set(range(space.domain_size(feature)))
-    for lit in term:
-        if lit.feature != feature:
-            continue
-        if lit.equal:
-            allowed &= {lit.value}
-        else:
-            allowed.discard(lit.value)
-    return allowed
-
-
-def term_is_consistent(term: Iterable[Literal], space: FeatureSpace) -> bool:
-    """True iff the conjunction of literals is satisfiable on its own."""
-    term = tuple(term)
-    for j in {l.feature for l in term}:
-        if not allowed_values(term, space, j):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class DecisionList:
     """An ordered rule list plus the trailing default rule.
@@ -178,7 +156,10 @@ class DecisionList:
     values it allows.  Rules with an unsatisfiable antecedent are accepted
     but flagged (`boxes[i]` is None, `consistent[i]` is False); they can
     never fire.  `live_rules`, computed on first use, lists the rules that
-    fire first on some point, and the encoders encode only those.
+    fire first on some point, and the encoders encode only those.  The
+    boxes are the one place where literals become allowed values:
+    `consistent`, `live_rules`, `is_self_determining` and the `horn` path
+    all read them.
     """
 
     space: FeatureSpace
@@ -257,27 +238,14 @@ def classify(dl: DecisionList, point: Sequence[int]) -> tuple[int, int]:
     return dl.default.prediction, dl.default_index
 
 
-def terms_consistent(
-    a: Iterable[Literal], b: Iterable[Literal], space: FeatureSpace
-) -> bool:
-    """True iff the conjunction of both terms is satisfiable.
-
-    Decided per feature on allowed-value sets; with categorical '!='
-    literals a clash may need the whole domain excluded, not a
-    complementary literal pair.
-    """
-    return term_is_consistent((*a, *b), space)
-
-
 def is_self_determining(dl: DecisionList, i: int) -> bool:
-    """True iff rule i clashes with every earlier rule's antecedent."""
+    """True iff rule i clashes with every earlier rule's antecedent: its
+    box is empty or meets no earlier box."""
     if not 0 <= i < len(dl.rules):
         raise InputError("self-determination is defined for non-default rules")
-    me = dl.rules[i].antecedent
-    return all(
-        not terms_consistent(dl.rules[j].antecedent, me, dl.space)
-        for j in range(i)
-    )
+    me = dl.boxes[i]
+    return me is None or not any(
+        box is not None and _meets(me, box) for box in dl.boxes[:i])
 
 
 # boxes a live-rule split may visit before a SAT call decides the rule;
@@ -372,9 +340,3 @@ def _live_rules(dl: DecisionList) -> tuple[int, ...]:
             session.add_clause(outside(box))
     return tuple(live)
 
-
-def instance_literals(space: FeatureSpace, point: Sequence[int]) -> list[Literal]:
-    """The '=' literals pinning every feature to its value, in feature
-    order: the instance as a term."""
-    space.validate_point(point)
-    return [Literal(j, True, v) for j, v in enumerate(point)]

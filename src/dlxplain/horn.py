@@ -2,11 +2,12 @@
 consistent and pairwise inconsistent (each rule clashes with every earlier
 one).
 
-In such a list every antecedent is a box, the product over features of the
-values that `core.allowed_values` allows, and the boxes are disjoint.  So
-whether pinning a feature set to the instance's point keeps its class is a
-count: a rule fires on as many points of the pinned box as the product of
-its per-feature shares.  One deletion loop over the features then yields a
+In such a list every antecedent is a box, the rule's compiled
+`DecisionList.boxes` entry (per constrained feature, a bitmask of the
+values it allows), and the boxes are disjoint.  So whether pinning a
+feature set to the instance's point keeps its class is a count: a rule
+fires on as many points of the pinned box as the product of its
+per-feature shares.  One deletion loop over the features then yields a
 minimal AXp, with one such check per feature and no search.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .core import (
-    DecisionList, Instance, allowed_values, classify, is_self_determining,
+    DecisionList, Instance, _meets, classify, is_self_determining,
 )
 
 
@@ -47,39 +48,39 @@ def check_restricted(dl: DecisionList, strict: bool = True) -> bool:
 class HornQuery:
     """Exact sufficiency check for one instance by counting over boxes.
 
-    `boxes` pairs each rule's box (per feature, its allowed value set)
-    with whether the rule predicts the instance's class.  checks_used
-    counts calls of `sufficient`.
+    `boxes` pairs each rule's box (`DecisionList.boxes`: per constrained
+    feature, the bitmask of its allowed values) with whether the rule
+    predicts the instance's class.  checks_used counts calls of
+    `sufficient`.
     """
 
     point: tuple[int, ...]
     sizes: tuple[int, ...]
-    boxes: list[tuple[bool, list[set[int]]]]
+    boxes: list[tuple[bool, dict[int, int]]]
     default_agrees: bool
     checks_used: int = 0
 
-    def _share(self, box: list[set[int]], pinned: set[int]) -> int:
-        # points of the pinned box inside this rule's box
-        n = 1
-        for j, allowed in enumerate(box):
+    def _share(self, box: dict[int, int], pinned: set[int], free: int) -> int:
+        # points of the pinned box, `free` of them, inside this rule's box
+        for j, mask in box.items():
             if j not in pinned:
-                n *= len(allowed)
-            elif self.point[j] not in allowed:
+                free = free // self.sizes[j] * mask.bit_count()
+            elif not mask >> self.point[j] & 1:
                 return 0
-        return n
+        return free
 
     def sufficient(self, pinned: set[int]) -> bool:
         """True iff every point agreeing with the instance on `pinned`
         gets the instance's class."""
         self.checks_used += 1
         if self.default_agrees:
-            # no point of the pinned box may fire a rule of another class
-            return not any(self._share(b, pinned)
-                           for same, b in self.boxes if not same)
+            # no rule of another class may meet the pinned box
+            at = {j: 1 << self.point[j] for j in pinned}
+            return not any(_meets(b, at) for same, b in self.boxes if not same)
         # the class's boxes are disjoint, so they cover the pinned box
         # exactly when their shares add up to its size
         free = prod(n for j, n in enumerate(self.sizes) if j not in pinned)
-        return sum(self._share(b, pinned)
+        return sum(self._share(b, pinned, free)
                    for same, b in self.boxes if same) == free
 
 
@@ -105,12 +106,9 @@ def horn_axp_detailed(
             "a rule is inconsistent or overlaps an earlier rule"
         )
     c, k = classify(dl, inst.point)
-    space = dl.space
-    m = space.num_features
-    boxes = [(r.prediction == c,
-              [allowed_values(r.antecedent, space, j) for j in range(m)])
-             for r in dl.rules]
-    query = HornQuery(inst.point, tuple(len(d) for d in space.domains),
+    m = dl.space.num_features
+    boxes = [(r.prediction == c, box) for r, box in zip(dl.rules, dl.boxes)]
+    query = HornQuery(inst.point, tuple(map(len, dl.space.domains)),
                       boxes, dl.default.prediction == c)
     firing = (*dl.rules, dl.default)[k].features
     pinned = set(range(m))

@@ -1,6 +1,7 @@
 import pytest
 
 from dlxplain import (
+    InputError,
     Instance,
     Literal,
     bf_all_axps,
@@ -101,8 +102,7 @@ def test_bf_dlim_dl00(dl00, dl00_instance):
 
 
 def test_bf_dlim_full_instance_always_entails(mhs_dl, mhs_instance):
-    from dlxplain import instance_literals
-    term = instance_literals(mhs_dl.space, mhs_instance.point)
+    term = [Literal(j, True, v) for j, v in enumerate(mhs_instance.point)]
     cls, _ = classify(mhs_dl, mhs_instance.point)
     assert bf_dlim(mhs_dl, term, cls)
 
@@ -111,6 +111,26 @@ def test_bf_dlim_inconsistent_premise(dl00):
     rho = (Literal(0, True, 0), Literal(0, False, 0))
     assert bf_dlim(dl00, rho, 0)
     assert bf_dlim(dl00, rho, 1)
+
+
+def test_bf_dlim_rejects_unknown_feature(dl00):
+    with pytest.raises(InputError):
+        bf_dlim(dl00, (Literal(9, True, 0),), 0)
+
+
+def test_bf_dlim_rejects_out_of_domain_value(dl00):
+    with pytest.raises(InputError):
+        bf_dlim(dl00, (Literal(0, True, 7),), 0)
+
+
+def test_bf_dlim_rejects_unknown_class(dl00):
+    with pytest.raises(InputError):
+        bf_dlim(dl00, (), 5)
+
+
+def test_bf_dlsat_rejects_unknown_class(dl00):
+    with pytest.raises(InputError):
+        bf_dlsat(dl00, 5)
 
 
 def test_axps_are_minimal_implicants(dl00, dl00_instance):

@@ -9,11 +9,8 @@ from dlxplain import (
     Rule,
     classify,
     eval_term,
-    instance_literals,
     is_self_determining,
-    terms_consistent,
 )
-from dlxplain.core import allowed_values, term_is_consistent
 
 
 def test_classify_dl00_fires_r5(dl00):
@@ -64,30 +61,37 @@ def test_eval_term(mhs_dl):
     assert eval_term(neq, (0, 0, 2, 0, 0))
 
 
+def _pair(a, b, space):
+    """The list `a -> 0, b -> 0, default 1`: rule 1 is self-determining
+    exactly when the terms `a` and `b` share no point."""
+    return DecisionList(space, (Rule(a, 0), Rule(b, 0)), Rule((), 1))
+
+
 def test_terms_consistent_boolean_clash(selfdet_dl):
     r0 = selfdet_dl.rules[0].antecedent  # a=0, c=0, d=0
     r5 = selfdet_dl.rules[5].antecedent  # a=1, c=1, d=1
-    assert not terms_consistent(r0, r5, selfdet_dl.space)
+    assert is_self_determining(_pair(r0, r5, selfdet_dl.space), 1)
 
 
 def test_terms_consistent_disjoint_features(mhs_dl):
     a = (Literal(0, True, 1),)
     b = (Literal(1, True, 1),)
-    assert terms_consistent(a, b, mhs_dl.space)
+    assert not is_self_determining(_pair(a, b, mhs_dl.space), 1)
 
 
 def test_terms_consistent_neq_pair_leaves_a_value(mhs_dl):
     # x1 != 0 with x1 != 1 over {0,1,2}: value 2 remains
     a = (Literal(0, False, 0),)
     b = (Literal(0, False, 1),)
-    assert terms_consistent(a, b, mhs_dl.space)
-    assert allowed_values(a + b, mhs_dl.space, 0) == {2}
+    assert not is_self_determining(_pair(a, b, mhs_dl.space), 1)
+    assert _pair(a + b, b, mhs_dl.space).boxes[0] == {0: 0b100}
 
 
 def test_terms_consistent_neq_exhausts_boolean_domain(dl00):
     a = (Literal(0, False, 0),)
     b = (Literal(0, False, 1),)
-    assert not terms_consistent(a, b, dl00.space)
+    assert is_self_determining(_pair(a, b, dl00.space), 1)
+    assert _pair(a + b, b, dl00.space).consistent == (False, True)
 
 
 def test_self_determining_all_rules(selfdet_dl):
@@ -120,22 +124,6 @@ def test_self_determining_matches_bruteforce(selfdet_dl, overlap_dl, dl00):
                 for j in range(i)
             )
             assert is_self_determining(dl, i) == expected
-
-
-def test_instance_literals_order(mhs_dl):
-    lits = instance_literals(mhs_dl.space, (1, 1, 1, 1, 1))
-    assert lits == [Literal(j, True, 1) for j in range(5)]
-
-
-def test_instance_literals_single_feature():
-    space = FeatureSpace(("x1",), (("0",),), ("a", "b"))
-    assert instance_literals(space, (0,)) == [Literal(0, True, 0)]
-
-
-def test_instance_literals_dl00(dl00):
-    lits = instance_literals(dl00.space, (1, 0, 1, 1))
-    assert [l.value for l in lits] == [1, 0, 1, 1]
-    assert all(l.equal for l in lits)
 
 
 def test_rule_validation():
@@ -202,12 +190,14 @@ def _terms(draw):
 
 @given(_terms(), _terms())
 def test_terms_consistent_symmetric(a, b):
-    assert terms_consistent(a, b, _space) == terms_consistent(b, a, _space)
+    assert is_self_determining(_pair(a, b, _space), 1) == \
+        is_self_determining(_pair(b, a, _space), 1)
 
 
 @given(_terms())
 def test_terms_consistent_reflexive_iff_satisfiable(t):
-    assert terms_consistent(t, t, _space) == term_is_consistent(t, _space)
+    dl = _pair(t, t, _space)
+    assert is_self_determining(dl, 1) != dl.consistent[0]
 
 
 @given(_terms(), _terms())
@@ -215,4 +205,16 @@ def test_terms_consistent_matches_enumeration(a, b):
     expected = any(
         eval_term(a, p) and eval_term(b, p) for p in _space.points()
     )
-    assert terms_consistent(a, b, _space) == expected
+    assert is_self_determining(_pair(a, b, _space), 1) != expected
+
+
+@given(_terms())
+def test_compiled_box_matches_literal_semantics(t):
+    box = DecisionList(_space, (Rule(t, 0),), Rule((), 1)).boxes[0]
+    holds = {p for p in _space.points() if eval_term(t, p)}
+    if box is None:
+        assert not holds
+    else:
+        allowed = {p for p in _space.points()
+                   if all(mask >> p[f] & 1 for f, mask in box.items())}
+        assert allowed == holds
