@@ -7,7 +7,8 @@ hitting set as a new target explanation (already minimal, since every
 proper subset misses a known dual explanation) or extracts a fresh dual
 explanation from the counterexample.  A plain blocking-clause loop over the
 single-CXp engine is provided as well.  An `Explainer` hands every engine
-its instance's query on one solver session per predicted class.
+its instance's query on a copy of the solver session of its predicted
+class.
 """
 
 from __future__ import annotations
@@ -21,20 +22,17 @@ from .oracle import OracleSession, OracleTimeout
 
 
 class Explainer:
-    """The explanation queries of one model, on one solver session per
-    predicted class.
+    """The explanation queries of one model, on one loaded solver session
+    per predicted class.
 
     Hard clauses depend only on the model and the predicted class, so the
     session of a class can serve every instance of that class: the first
     instance encodes and loads them, and every later one only gets its own
     softs.  Both class encodings read the model's live rules, which its
-    first encoding computes and the model caches.  The engines pin an
-    instance through assumptions and prefer its whole point, since a
-    session's saved phases come from other instances.  Only an lbx
-    run adds clauses, its blocking clauses, under one selector that it
-    retires before returning, and the retirement sweeps them out again.
-    An enumeration reports a sorted set, so the runs of other instances
-    on the same session cannot change it.
+    first encoding computes and the model caches.  The loaded session is
+    never solved on: every query gets a copy of it, which is in the state
+    of a fresh load.  So an answer depends on its own instance alone, and
+    an engine may add clauses to its copy, as an lbx run does.
     """
 
     def __init__(self, dl: DecisionList, encode=encode_explanation_query):
@@ -43,13 +41,13 @@ class Explainer:
         self.sessions: dict[int, tuple[Encoding, OracleSession]] = {}
 
     def query(self, inst: Instance) -> tuple[Encoding, OracleSession]:
-        """The instance's encoding and its class's session."""
+        """The instance's encoding and a copy of its class's session."""
         cls, _ = classify(self.dl, inst.point)
         if cls not in self.sessions:
             enc = self.encode(self.dl, inst)
             self.sessions[cls] = (enc, load_encoding(enc))
         enc, session = self.sessions[cls]
-        return replace(enc, point=inst.point), session
+        return replace(enc, point=inst.point), session.copy()
 
 
 class HittingSetOracle:
@@ -164,18 +162,14 @@ def enumerate_cxp_lbx(
     session: OracleSession,
     deadline: float | None = None,
 ) -> ExplanationReport:
-    """All CXps by repeated single-CXp extraction, blocking each one under
-    a run-wide selector.  The selector is retired at the end, however the
-    run ends, so the session can serve other instances."""
+    """All CXps by repeated single-CXp extraction, blocking each one with a
+    clause added to `session`.  The blocking clauses stay, so the session
+    serves no other run afterwards."""
     report = ExplanationReport()
-    selector = session.new_selector()
     try:
         while (cxp := one_cxp(enc, session, deadline=deadline)) is not None:
             report.cxps.append(cxp)
-            session.add_clause([enc.soft[j] for j in cxp],
-                               selector=selector)
+            session.add_clause([enc.soft[j] for j in cxp])
     except OracleTimeout:
         report.complete = False
-    finally:
-        session.retire_selector(selector)
     return report.finalize()

@@ -3,9 +3,11 @@
 An OracleSession is a self-contained incremental solver with assumption
 support and final-conflict core extraction, in the MiniSat tradition:
 two-watched-literal propagation, 1UIP learning with recursive
-minimization, EVSIDS branching, phase saving, Luby restarts, oldest-first
-learnt-clause reduction and removal of the clauses satisfied at level 0.
-Fully deterministic: identical inputs produce identical models and cores.
+minimization, EVSIDS branching and phase saving.  Explanation queries
+are bound by propagation: a call needs hundreds of propagations and
+almost never a conflict, so the session neither restarts nor reduces its
+learnt clauses.  Fully deterministic: identical inputs produce identical
+models and cores.
 
 Each call starts where the previous one left off.  Decision level k holds
 the k-th assumption, and a call keeps every level up to the first whose
@@ -14,12 +16,11 @@ propagated once (trail reuse, van der Tak, Ramos & Heule, JSAT 2011).  The
 caller's `prefer` literals then get their saved phase set true, so the
 search starts from them wherever the clauses allow.
 
-Clauses are append-only; a clause registered under a selector variable is
-stored as (-selector OR clause) and stays active until the selector is
-retired.  Each retirement sweeps the clauses that level 0 now satisfies
-out of the solver, so a long-lived session does not grow with its
-history.  Sessions are single-owner: one engine at a time; independent
-sessions run in parallel.
+Clauses are append-only.  `copy()` gives an independent session in the
+same state, so a loaded session can serve as a template that is never
+solved on, and each user of a copy may add clauses to its own.  Sessions
+are single-owner: one engine at a time; independent sessions run in
+parallel.
 
 Literals use the DIMACS convention externally (non-zero ints, negative for
 negated; 0 is rejected); internally literal l of variable v is 2*v
@@ -38,25 +39,8 @@ FALSE = 0
 UNDEF = 2
 
 
-def _luby(i: int) -> int:
-    # Luby restart sequence 1,1,2,1,1,2,4,... (i counted from 0)
-    size, seq = 1, 0
-    while size < i + 1:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != i:
-        size = (size - 1) >> 1
-        seq -= 1
-        i %= size
-    return 1 << seq
-
-
 class OracleTimeout(Exception):
     """A solve call exceeded its per-call or per-instance budget."""
-
-
-class UnknownSelector(KeyError):
-    pass
 
 
 @dataclass
@@ -75,7 +59,7 @@ class SessionStats:
     """Live counters that the session updates in place.  Calls and answers
     count solve calls and conflicts count search conflicts; propagations
     count every literal that unit propagation dequeues, including those of
-    a unit clause's load and of a retirement's sweep."""
+    a unit clause's load."""
 
     calls: int = 0
     sat_answers: int = 0
@@ -85,8 +69,7 @@ class SessionStats:
 
 
 class OracleSession:
-    """CDCL solver over DIMACS-style integer literals, with activation
-    selectors and statistics."""
+    """CDCL solver over DIMACS-style integer literals, with statistics."""
 
     def __init__(self, num_vars: int = 0):
         self.nvars = 0
@@ -110,10 +93,6 @@ class OracleSession:
         self.var_inc = 1.0
         self.var_decay = 1.0 / 0.95
         self.heap: list[tuple[float, int]] = []
-        self.max_learnts = 4000
-        # active selectors, assumed true in allocation order: the order
-        # fixes the assumption list, and with it the search
-        self.selectors: list[int] = []
         self.stats = SessionStats()
         self.ensure_vars(num_vars)
 
@@ -137,11 +116,29 @@ class OracleSession:
         self.ensure_vars(self.nvars + 1)
         return self.nvars
 
-    def new_selector(self) -> int:
-        """Allocate a fresh selector variable, active until retired."""
-        sel = self.new_var()
-        self.selectors.append(sel)
-        return sel
+    def copy(self) -> OracleSession:
+        """An independent session in this one's state: it answers every
+        call sequence as this one would, and nothing done to either
+        reaches the other.  Its statistics start at zero, so they count
+        the copy's own work."""
+        other = OracleSession()
+        other.nvars, other.ok = self.nvars, self.ok
+        other.qhead, other.var_inc = self.qhead, self.var_inc
+        for name in ("assign", "level", "activity", "saved_phase", "seen",
+                     "trail", "trail_lim", "last_assumptions", "heap"):
+            setattr(other, name, getattr(self, name)[:])
+        # propagation reorders a clause's literals in place, so each clause
+        # gets a twin; watch lists and reasons keep their order and point
+        # to the twins, so the copy's search is this one's
+        other.clauses = [c[:] for c in self.clauses]
+        other.learnts = [c[:] for c in self.learnts]
+        twin = {id(c): d for c, d in zip(self.clauses + self.learnts,
+                                         other.clauses + other.learnts)}
+        other.watches = [[[twin[id(c)], blocker] for c, blocker in ws]
+                         for ws in self.watches]
+        other.reason = [None if r is None else twin[id(r)]
+                        for r in self.reason]
+        return other
 
     @staticmethod
     def _intern(lit: int) -> int:
@@ -157,15 +154,10 @@ class OracleSession:
         v = self.assign[ilit >> 1]
         return v if v == UNDEF else v ^ (ilit & 1)
 
-    def add_clause(self, clause, selector: int | None = None) -> None:
-        """Add a clause, optionally guarded by an active selector.
-        Backtracks to level 0 first, so the next call propagates its
-        assumptions again."""
+    def add_clause(self, clause) -> None:
+        """Add a clause.  Backtracks to level 0 first, so the next call
+        propagates its assumptions again."""
         lits = list(clause)
-        if selector is not None:
-            if selector not in self.selectors:
-                raise UnknownSelector(selector)
-            lits.append(-selector)
         if 0 in lits:
             raise ValueError("0 is not a literal")
         self._backtrack(0)
@@ -192,62 +184,10 @@ class OracleSession:
         self.clauses.append(out)
         self._watch(out)
 
-    def retire_selector(self, selector: int) -> None:
-        """Permanently disable a selector's clauses, sweep them out of the
-        solver and stop assuming it."""
-        if selector not in self.selectors:
-            raise UnknownSelector(selector)
-        self.selectors.remove(selector)
-        self.add_clause([-selector])
-        self.simplify()
-
     def _watch(self, clause: list[int]) -> None:
         # watches[l] holds the clauses watching l, visited when l turns false
         self.watches[clause[0]].append([clause, clause[1]])
         self.watches[clause[1]].append([clause, clause[0]])
-
-    def _rebuild_watches(self) -> None:
-        # every stored clause is watched by its first two literals
-        self.watches = [[] for _ in range(2 * self.nvars)]
-        for clause in self.clauses:
-            self._watch(clause)
-        for clause in self.learnts:
-            self._watch(clause)
-
-    def simplify(self) -> bool:
-        """Remove what level 0 decides, as MiniSat's removeSatisfied does:
-        drop every problem and learnt clause satisfied at level 0, strip
-        the literals false there and rebuild the watch lists.  Backtracks
-        to level 0 first.  Returns False if the clauses are
-        unsatisfiable."""
-        self._backtrack(0)
-        if not self.ok or self._propagate() is not None:
-            self.ok = False
-            return False
-        self.clauses = self._strip_satisfied(self.clauses)
-        self.learnts = self._strip_satisfied(self.learnts)
-        # conflict analysis never reads the reason of a level-0
-        # assignment, and the clause it names may just have gone
-        for ilit in self.trail:
-            self.reason[ilit >> 1] = None
-        self._rebuild_watches()
-        return True
-
-    def _strip_satisfied(self, clauses: list[list[int]]) -> list[list[int]]:
-        # a clause left unsatisfied at the level-0 fixpoint keeps its two
-        # watches, which are unassigned, at positions 0 and 1; at level 0
-        # the trail holds exactly the true literals, and set tests keep
-        # a sweep after every selector retirement cheap
-        true = set(self.trail)
-        false = {ilit ^ 1 for ilit in self.trail}
-        kept = []
-        for clause in clauses:
-            if not true.isdisjoint(clause):
-                continue
-            if not false.isdisjoint(clause):
-                clause[:] = [l for l in clause if l not in false]
-            kept.append(clause)
-        return kept
 
     # ------------------------------------------------------------------
     # trail
@@ -447,26 +387,6 @@ class OracleSession:
         return True
 
     # ------------------------------------------------------------------
-    # learnt-clause housekeeping
-
-    def _reduce_db(self) -> None:
-        # learnts are stored oldest first, so the older half is the front
-        # half; its unlocked clauses of more than two literals go
-        locked = {
-            id(self.reason[l >> 1]) for l in self.trail
-            if self.reason[l >> 1] is not None
-        }
-        drop = {
-            id(c)
-            for c in self.learnts[: len(self.learnts) // 2]
-            if id(c) not in locked and len(c) > 2
-        }
-        if not drop:
-            return
-        self.learnts = [c for c in self.learnts if id(c) not in drop]
-        self._rebuild_watches()
-
-    # ------------------------------------------------------------------
     # final-conflict cores
 
     def _analyze_final(self, failing: int, assumed: set[int]) -> list[int]:
@@ -512,16 +432,15 @@ class OracleSession:
     def solve_under_assumptions(
         self, assumptions=(), deadline: float | None = None, prefer=()
     ) -> SolveResult:
-        """SAT check of the active clauses under the given literals,
-        branching first towards the `prefer` literals.
+        """SAT check of the clauses under the given literals, branching
+        first towards the `prefer` literals.
 
         A SAT result carries a model with model[v] the value of 1-based
         variable v.  On UNSAT the result carries a core: a subset of the
         assumptions sufficient for unsatisfiability (not necessarily
-        minimal; selector literals are filtered out).  The assumption
-        levels the answer leaves consistent stay on the trail for the next
-        call, so callers that vary the tail of a fixed-order list pay the
-        least.  Raises OracleTimeout when the deadline runs out: at entry
+        minimal).  The assumption levels the answer leaves consistent stay
+        on the trail for the next call, so callers that vary the tail of a
+        fixed-order list pay the least.  Raises OracleTimeout when the deadline runs out: at entry
         once it has passed, then on a conflict or every 1024 decisions;
         the session stays usable afterwards.
         """
@@ -535,7 +454,7 @@ class OracleSession:
         if not self.ok:
             stats.unsat_answers += 1
             return SolveResult(False, core=[])
-        iassumps = [self._intern(l) for l in (*self.selectors, *assumptions)]
+        iassumps = [self._intern(l) for l in assumptions]
         assumed = set(iassumps)
         keep = 0
         while keep < min(self._decision_level(), len(iassumps)) and \
@@ -547,15 +466,11 @@ class OracleSession:
         for lit in prefer:
             self.saved_phase[abs(lit) - 1] = lit > 0
 
-        restarts = 0
-        limit = 64 * _luby(restarts)
-        conflicts_here = 0
         decisions = 0
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 stats.conflicts += 1
-                conflicts_here += 1
                 if self._decision_level() == 0:
                     self.ok = False
                     stats.unsat_answers += 1
@@ -572,14 +487,6 @@ class OracleSession:
                 if deadline is not None and time.monotonic() > deadline:
                     self._backtrack(0)
                     raise OracleTimeout("deadline exceeded")
-                if conflicts_here >= limit:
-                    restarts += 1
-                    limit = 64 * _luby(restarts)
-                    conflicts_here = 0
-                    self._backtrack(0)
-                if len(self.learnts) > self.max_learnts:
-                    self._reduce_db()
-                    self.max_learnts = int(self.max_learnts * 1.3)
                 continue
 
             # re-establish the assumption prefix, then branch
@@ -592,11 +499,9 @@ class OracleSession:
                     continue
                 if val == FALSE:
                     # every open level holds a satisfied assumption
-                    wanted = set(assumptions)
-                    core = self._analyze_final(a, assumed)
                     stats.unsat_answers += 1
                     return SolveResult(
-                        False, core=[l for l in core if l in wanted])
+                        False, core=self._analyze_final(a, assumed))
                 next_lit = a
                 break
             if next_lit == -1:

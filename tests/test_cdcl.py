@@ -1,15 +1,16 @@
 """Solver sanity: answers cross-checked against truth-table enumeration on
 random small formulas, plus core soundness, determinism, budgets, preferred
-phases and the trail one call leaves to the next."""
+phases, the trail one call leaves to the next and copies of a session."""
 
 import itertools
 import random
 import time
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlxplain.oracle import OracleSession, OracleTimeout, _luby
+from dlxplain.oracle import OracleSession, OracleTimeout
 
 
 def brute_force_sat(num_vars, clauses):
@@ -62,12 +63,6 @@ def test_conflicting_assumptions():
     res = s.solve([3, -3])
     assert not res.sat
     assert set(res.core) == {3, -3}
-
-
-def test_luby_prefix():
-    assert [_luby(i) for i in range(15)] == [
-        1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8
-    ]
 
 
 def test_budget_raises_and_solver_survives():
@@ -212,100 +207,6 @@ def test_branching_heap_stays_bounded():
         assert len(s.heap) <= 2 * s.nvars
 
 
-def _stored(s):
-    return {frozenset(map(s._extern, cl)) for cl in s.clauses}
-
-
-def test_simplify_removes_what_level_0_decides():
-    s = make_solver([[1, 2, 3], [-1, 4, 5], [2, -3, 5]])
-    assert s.solve().sat
-    s.add_clause([1])
-    assert s.simplify()
-    # [1, 2, 3] is satisfied, -1 is false: only the rest is kept
-    assert _stored(s) == {frozenset({4, 5}), frozenset({2, -3, 5})}
-    assert all(len(w) <= 2 for w in s.watches)
-    assert not s.solve([-4, -5]).sat
-    res = s.solve([-2, 3])
-    assert res.sat and res.model[5]
-    s.add_clause([-5])
-    assert s.simplify()
-    assert _stored(s) == {frozenset({2, -3})}
-    assert s.solve().model[4]
-    s.add_clause([-4])
-    assert not s.simplify() and not s.solve().sat
-
-
-def test_simplify_and_learnt_reduction_keep_answers():
-    # near-threshold 3-SAT: units arrive one by one, each followed by a
-    # sweep, while a tiny learnt-clause limit makes the solver reduce its
-    # database often; a fresh solver on the same clauses is the referee
-    rng = random.Random(3)
-    for trial in range(40):
-        n = 24
-        clauses = [[rng.choice((-1, 1)) * v for v in rng.sample(range(1, n + 1), 3)]
-                   for _ in range(96)]
-        s = make_solver(clauses)
-        s.max_learnts = 2
-        for v in rng.sample(range(1, n + 1), 6):
-            unit = rng.choice([v, -v])
-            clauses.append([unit])
-            s.add_clause([unit])
-            if s.simplify():
-                for cl in s.clauses + s.learnts:
-                    assert all(s._lit_value(l) == 2 for l in cl)
-                    # watched by its first two literals, and only there
-                    assert [i for i, ws in enumerate(s.watches)
-                            for e in ws if e[0] is cl] == sorted(cl[:2])
-            assumps = [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), 2)]
-            res = s.solve(assumps)
-            assert res.sat == make_solver(clauses).solve(assumps).sat, trial
-            if res.sat:
-                full = clauses + [[a] for a in assumps]
-                assert all(any(res.model[abs(l)] == (l > 0) for l in cl)
-                           for cl in full), trial
-
-
-def test_learnt_reduction_drops_the_older_half_in_learnt_order():
-    # a tiny learnt-clause limit makes the solver reduce often; every
-    # reduction must keep the survivors in the order they were learnt and
-    # drop exactly the unlocked clauses of more than two literals among
-    # the older half
-    rng = random.Random(7)
-    n = 40
-    s = make_solver(
-        [[rng.choice((-1, 1)) * v for v in rng.sample(range(1, n + 1), 3)]
-         for _ in range(170)])
-    s.max_learnts = 5
-    born, reductions = [], []
-    analyze, reduce_db = s._analyze, s._reduce_db
-
-    def spy_analyze(conflict):
-        learnt, bt = analyze(conflict)
-        born.append(learnt)
-        return learnt, bt
-
-    def spy_reduce_db():
-        before = list(s.learnts)
-        locked = {id(s.reason[l >> 1]) for l in s.trail
-                  if s.reason[l >> 1] is not None}
-        reduce_db()
-        reductions.append((before, locked, list(s.learnts)))
-
-    s._analyze, s._reduce_db = spy_analyze, spy_reduce_db
-    for _ in range(40):
-        s.solve([rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), 3)])
-    age = {id(c): i for i, c in enumerate(born)}
-    assert len(reductions) >= 3
-    for before, locked, after in reductions:
-        assert [age[id(c)] for c in before] == sorted(age[id(c)] for c in before)
-        old = before[: len(before) // 2]
-        dropped = [c for c in old if id(c) not in locked and len(c) > 2]
-        assert dropped
-        gone = {id(c) for c in dropped}
-        assert [id(c) for c in after] == \
-            [id(c) for c in before if id(c) not in gone]
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_hypothesis_random_formulas(data):
@@ -367,3 +268,76 @@ def test_call_sequences_agree_with_fresh_solvers(data):
         else:
             assert set(res.core) <= set(assumps)
             assert not make_solver(clauses).solve(res.core).sat
+
+
+def _calls(data, n, clause, least=1):
+    """A call sequence: per call, a clause to add first or None, the
+    assumptions (sharing a drawn prefix with the last call's) and the
+    preferred literals."""
+    calls, assumps = [], []
+    for _ in range(data.draw(st.integers(least, 6))):
+        extra = data.draw(clause) if data.draw(st.booleans()) else None
+        keep = data.draw(st.integers(0, len(assumps)))
+        assumps = assumps[:keep] + data.draw(st.lists(_literals(n), max_size=4))
+        calls.append((extra, assumps, data.draw(st.lists(_literals(n),
+                                                         max_size=3))))
+    return calls
+
+
+def _replay(s, calls):
+    answers = []
+    for extra, assumps, prefer in calls:
+        if extra is not None:
+            s.add_clause(extra)
+        answers.append(s.solve(assumps, prefer=prefer))
+    return answers
+
+
+def _state(s):
+    watches = [[(tuple(c), blocker) for c, blocker in ws] for ws in s.watches]
+    return ([c[:] for c in s.clauses], [c[:] for c in s.learnts], watches,
+            s.trail[:], s.saved_phase[:], s.heap[:], s.activity[:],
+            s.var_inc, astuple(s.stats))
+
+
+def _reached(s):
+    """The identities of the mutable objects a session's calls may change:
+    its lists, their clauses, watch entries and reasons, and its stats."""
+    lists = [x for x in vars(s).values() if isinstance(x, list)]
+    lists += [*s.clauses, *s.learnts, *s.watches,
+              *(entry for ws in s.watches for entry in ws),
+              *(r for r in s.reason if r is not None)]
+    return {id(x) for x in lists} | {id(s.stats)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_copies_answer_as_fresh_loads_and_leave_their_original_alone(data):
+    # a session loaded and warmed up by some calls is copied; the copy
+    # and a twin loaded and warmed up the same way then answer one call
+    # sequence with the same models, cores and counters, while the
+    # original keeps its clauses, trail, phases, heap and counters.  The
+    # 3-literal clauses are dense, so that calls conflict and learn.
+    n = data.draw(st.integers(5, 9))
+    clause = st.lists(_literals(n), min_size=3, max_size=3)
+    clauses = data.draw(st.lists(clause, min_size=15, max_size=45))
+    warm_up = _calls(data, n, clause, least=0)
+    original, twin = make_solver(clauses), make_solver(clauses)
+    assert _replay(original, warm_up) == _replay(twin, warm_up)
+    copy = original.copy()
+    assert not _reached(copy) & _reached(original)
+    kept = _state(original)
+    assert _state(copy)[:-1] == _state(twin)[:-1]
+    assert astuple(copy.stats) == (0, 0, 0, 0, 0)
+    counted = astuple(twin.stats)
+    calls = _calls(data, n, clause)
+    answers = _replay(copy, calls)
+    assert answers == _replay(twin, calls)
+    assert astuple(copy.stats) == tuple(
+        a - b for a, b in zip(astuple(twin.stats), counted))
+    assert _state(original) == kept
+    # the original, solved on in turn, answers as its copy did, and the
+    # copy goes on answering as its twin
+    assert _replay(original, calls) == answers
+    more = _calls(data, n, clause)
+    assert _replay(copy, more) == _replay(twin, more)

@@ -7,7 +7,6 @@ import pytest
 from conftest import CONSTANT_MODEL, MHS_MODEL, SELFDET_MODEL
 from dlxplain import (
     GeneratorParams,
-    OracleSession,
     generate_random_dl,
     generate_random_instances,
     serialize_model,
@@ -112,23 +111,6 @@ def test_explain_one_shot_modes(mhs_files, capsys):
     )
     assert code == 0
     assert jlines(out)[0]["features"] in (["x1", "x3"], ["x2", "x3"])
-
-
-def test_one_cxp_leaves_its_throwaway_session_unswept(mhs_files, capsys,
-                                                     monkeypatch):
-    # each one-shot instance gets a fresh session that is dropped after
-    # its record, so sweeping it would be wasted work
-    sweeps = []
-    real = OracleSession.simplify
-    monkeypatch.setattr(OracleSession, "simplify",
-                        lambda self: sweeps.append(1) or real(self))
-    model, insts = mhs_files
-    code, out, _ = run(
-        capsys, "explain", "--model", model, "--instances", insts,
-        "--mode", "one-cxp", "--format", "json-lines",
-    )
-    assert code == 0 and len(jlines(out)) == 2
-    assert sweeps == []
 
 
 def test_byte_order_marked_files_read_like_plain_ones(mhs_files, tmp_path,
@@ -489,8 +471,8 @@ def _write_rows(tmp_path, name, rows):
 
 @pytest.fixture
 def load_counter(monkeypatch):
-    """Predicted classes of the sessions loaded, by the one-shot path in
-    `cli` or by an `Explainer` in `enumeration`."""
+    """Predicted classes of the sessions loaded, by `cli` or by an
+    `Explainer` in `enumeration`."""
     import dlxplain.cli as cli_mod
     import dlxplain.enumeration as enum_mod
     loads = []
@@ -523,14 +505,14 @@ def live_counter(monkeypatch):
     (["explain", "--mode", "enum-marco-axp"], 2),
     (["explain", "--mode", "enum-marco-cxp", "--encoding", "alternative"], 2),
     (["verify"], 2),
-    (["explain", "--mode", "one-cxp"], len(MIXED_ROWS)),
-    (["explain", "--mode", "one-axp"], len(MIXED_ROWS)),
+    (["explain", "--mode", "one-cxp"], 2),
+    (["explain", "--mode", "one-axp"], 2),
 ])
-def test_sessions_load_once_per_class_in_enum_modes(
+def test_sessions_load_once_per_class(
         tmp_path, capsys, load_counter, live_counter, argv, expected):
-    # enumeration modes and verify share one session per predicted class;
-    # one-shot modes load a fresh session per instance; every encoding of
-    # a command reads one cached live-rule check
+    # every explain mode and verify load one session per predicted class
+    # and copy it per instance; every encoding of a command reads one
+    # cached live-rule check
     model = tmp_path / "model.dl"
     model.write_text(MHS_MODEL)
     insts = _write_rows(tmp_path, "insts.csv", MIXED_ROWS)

@@ -79,32 +79,35 @@ def decision_lists(draw):
 
 
 def _check_engines(encode, dl, insts):
-    """Every enumeration mode through one `Explainer`, whose class sessions
-    all instances and modes share; the one-shot engines on a fresh
-    session, and `one_cxp` on the shared one too, leaving either as big as
-    it found it.  The Explainer's query equals a fresh encoding of the
-    instance's point."""
+    """Every engine through one `Explainer`, on a fresh query of the
+    instance each, since an lbx run leaves its blocking clauses on its
+    copy of the class session.  The Explainer's query equals a fresh
+    encoding of the instance's point, and the one-shot engines give on its
+    copy exactly what they give on a freshly loaded session, leaving the
+    copy as big as they found it."""
     explainer = Explainer(dl, encode)
     for inst in insts:
         axps, cxps = set(bf_all_axps(dl, inst)), set(bf_all_cxps(dl, inst))
-        enc, shared = explainer.query(inst)
+        enc, _ = explainer.query(inst)
         fresh = encode(dl, inst)
         assert enc.point == fresh.point == inst.point
         assert (enc.hard, enc.soft, enc.varmap, enc.pred_class) == \
             (fresh.hard, fresh.soft, fresh.varmap, fresh.pred_class)
         for target in (AXP, CXP):
-            rep = enumerate_marco(enc, shared, target)
+            rep = enumerate_marco(*explainer.query(inst), target)
             assert rep.complete
             assert set(rep.axps) == axps, target
             assert set(rep.cxps) == cxps, target
-        assert set(enumerate_cxp_lbx(enc, shared).cxps) == cxps
-        session = load_encoding(enc)
-        assert one_axp(enc, session) in axps
-        for ses in (session, shared):
-            size = ses.nvars, len(ses.clauses)
-            cxp = one_cxp(enc, ses)
-            assert cxp in cxps or (cxp is None and not cxps)
-            assert (ses.nvars, len(ses.clauses)) == size
+        assert set(enumerate_cxp_lbx(*explainer.query(inst)).cxps) == cxps
+        got = {}
+        for engine in (one_axp, one_cxp):
+            enc, copy = explainer.query(inst)
+            size = copy.nvars, len(copy.clauses)
+            got[engine] = engine(enc, copy)
+            assert got[engine] == engine(fresh, load_encoding(fresh))
+            assert (copy.nvars, len(copy.clauses)) == size
+        assert got[one_axp] in axps
+        assert got[one_cxp] in cxps or (got[one_cxp] is None and not cxps)
 
 
 def _instances(data, dl):

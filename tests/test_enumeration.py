@@ -16,6 +16,7 @@ from dlxplain import (
     enumerate_marco,
     generate_random_dl,
     generate_random_instances,
+    one_cxp,
 )
 from dlxplain.core import AXP, CXP
 from dlxplain.enumeration import Explainer, HittingSetOracle
@@ -230,7 +231,6 @@ def _run_on_class_sessions(dl, insts, mode, cut=None):
         else:
             rep = enumerate_marco(enc, session, mode, deadline=deadline)
         session.__dict__.pop("solve", None)
-        assert not session.selectors  # retired, however the run ended
         results.append((rep.complete, set(rep.axps), set(rep.cxps)))
     return results, len(explainer.sessions)
 
@@ -297,26 +297,32 @@ def test_enumeration_respects_deadline():
     assert not rep.complete
 
 
-def test_lbx_run_adds_one_variable_and_no_clauses_to_its_session():
-    # the whole run blocks its CXps under one selector, and the
-    # retirement sweeps every blocking clause out at once
+def test_lbx_run_touches_only_its_own_copy():
+    # the run blocks its CXps with clauses on its copy of the class
+    # session, and adds no variable
     p = GeneratorParams(seed=4, num_features=6, domain_size=3, num_rules=20,
                         max_antecedent_len=3, num_classes=2)
     dl = generate_random_dl(p)
     inst = generate_random_instances(dl, 1, seed=2)[0]
-    enc, session = Explainer(dl).query(inst)
-    nvars, loaded = session.nvars, len(session.clauses)
+    explainer = Explainer(dl)
+    enc, session = explainer.query(inst)
+    loaded = explainer.sessions[enc.pred_class][1]
+    clauses = [c[:] for c in loaded.clauses]
+    nvars = session.nvars
     rep = enumerate_cxp_lbx(enc, session)
     assert set(rep.cxps) == set(bf_all_cxps(dl, inst))
     assert len(rep.cxps) > 1
-    assert session.nvars == nvars + 1
-    assert len(session.clauses) <= loaded
+    assert session.nvars == nvars == loaded.nvars
+    assert loaded.clauses == clauses and loaded.stats.calls == 0
+    # the run's copy has every CXp blocked, a new copy none
+    assert one_cxp(enc, session) is None
+    assert one_cxp(*explainer.query(inst)) in rep.cxps
 
 
 def test_class_sessions_stay_small_over_a_long_stream():
-    # every retired selector sweeps the clauses it guarded out at once,
-    # so a class session serving a long stream stays near its loaded size
-    # and keeps its answers exact
+    # every run solves on its own copy, so a class session serving a
+    # long stream keeps exactly its loaded clauses, is never solved on,
+    # and every answer stays exact
     p = GeneratorParams(seed=1, num_features=6, domain_size=3, num_rules=30,
                         max_antecedent_len=3, num_classes=2)
     dl = generate_random_dl(p)
@@ -324,13 +330,14 @@ def test_class_sessions_stay_small_over_a_long_stream():
     loaded = {}
     for inst in generate_random_instances(dl, 60, seed=1):
         enc, session = explainer.query(inst)
+        cls_session = explainer.sessions[enc.pred_class][1]
         loaded.setdefault(enc.pred_class,
-                          len(session.clauses) + len(session.learnts))
+                          [c[:] for c in cls_session.clauses])
         axps, cxps = set(bf_all_axps(dl, inst)), set(bf_all_cxps(dl, inst))
         assert set(enumerate_cxp_lbx(enc, session).cxps) == cxps
         for target in (AXP, CXP):
-            rep = enumerate_marco(enc, session, target)
+            rep = enumerate_marco(*explainer.query(inst), target)
             assert (set(rep.axps), set(rep.cxps)) == (axps, cxps)
-        size = len(session.clauses) + len(session.learnts)
-        assert size < 2 * loaded[enc.pred_class]
+        assert cls_session.clauses == loaded[enc.pred_class]
+        assert not cls_session.learnts and cls_session.stats.calls == 0
     assert len(explainer.sessions) == 2

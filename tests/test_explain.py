@@ -80,15 +80,14 @@ def _clause_set(ses):
 
 def test_one_cxp_leaves_its_session_as_it_found_it(mhs_dl, mhs_instance,
                                                    dl00, dl00_instance):
-    # deletion pins features through assumptions only: no clause, no
-    # variable and no selector outlives the call
+    # deletion pins features through assumptions only: no clause and no
+    # variable outlives the call
     for dl, inst in ((mhs_dl, mhs_instance), (dl00, dl00_instance)):
         enc, ses = _session(dl, inst)
         nvars, clauses = ses.nvars, _clause_set(ses)
         assert one_cxp(enc, ses) in bf_all_cxps(dl, inst)
         assert ses.nvars == nvars
         assert _clause_set(ses) == clauses
-        assert ses.selectors == []
 
 
 def test_deletion_skips_the_empty_cxp_trial(dl00, dl00_instance):
@@ -121,9 +120,7 @@ def test_one_cxp_session_reusable_after_call(mhs_dl, mhs_instance):
     enc, ses = _session(mhs_dl, mhs_instance)
     valid = bf_all_cxps(mhs_dl, mhs_instance)
     assert one_cxp(enc, ses) in valid
-    assert not ses.selectors
     assert one_cxp(enc, ses) in valid
-    assert not ses.selectors
     assert one_axp(enc, ses) == frozenset({2})
 
 

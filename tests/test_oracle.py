@@ -1,4 +1,4 @@
-"""Session contract: selector lifecycle, assumption cores, statistics."""
+"""Session contract: clauses, assumption cores, statistics, budgets."""
 
 import time
 
@@ -6,7 +6,7 @@ import pytest
 
 from dlxplain import encode_explanation_query
 from dlxplain.explain import load_encoding
-from dlxplain.oracle import OracleSession, OracleTimeout, UnknownSelector
+from dlxplain.oracle import OracleSession, OracleTimeout
 
 
 def test_add_clause_and_solve():
@@ -16,61 +16,6 @@ def test_add_clause_and_solve():
     assert res.sat and res.lit_true(1)
     ses.add_clause([-1])
     assert not ses.solve_under_assumptions([]).sat
-
-
-def test_blocking_clause_under_selector_toggles():
-    # a selector's clauses hold until it is retired, then go for good
-    ses = OracleSession(2)
-    ses.add_clause([1, 2])
-    first, second = ses.new_selector(), ses.new_selector()
-    assert ses.selectors == [first, second]      # assumed in this order
-    ses.add_clause([-1], selector=first)         # block models with 1
-    ses.add_clause([-2], selector=second)        # and those with 2
-    assert not ses.solve([]).sat
-    ses.retire_selector(second)
-    assert ses.selectors == [first]
-    res = ses.solve([])
-    assert res.sat and res.lit_true(2)
-    assert not ses.solve([1]).sat                # first's clause still holds
-    ses.retire_selector(first)
-    assert ses.selectors == [] and ses.solve([1]).sat
-
-
-def test_selector_toggle_idempotent_and_unknown():
-    # a retired or never-allocated selector is unknown to the session
-    ses = OracleSession(1)
-    sel = ses.new_selector()
-    ses.retire_selector(sel)
-    assert ses.solve([]).sat
-    for bad in (sel, 991):                       # retired, never allocated
-        with pytest.raises(UnknownSelector):
-            ses.add_clause([1], selector=bad)
-        with pytest.raises(UnknownSelector):
-            ses.retire_selector(bad)
-
-
-def test_retiring_a_selector_sweeps_its_clauses_at_once():
-    # the clauses a retired selector guarded leave the solver with it
-    ses = OracleSession(3)
-    ses.add_clause([1, 2, 3])
-    sel = ses.new_selector()
-    ses.add_clause([-1, 2], selector=sel)
-    ses.add_clause([-2, 3], selector=sel)
-    assert len(ses.clauses) == 3
-    ses.retire_selector(sel)
-    assert len(ses.clauses) == 1
-    assert ses.solve([1, -2]).sat
-
-
-def test_enabling_unused_selector_is_noop():
-    # a selector with no clauses neither blocks models nor leaves a trace
-    ses = OracleSession(1)
-    ses.add_clause([1])
-    sel = ses.new_selector()
-    res = ses.solve([])
-    assert res.sat and res.lit_true(1)
-    ses.retire_selector(sel)
-    assert ses.selectors == [] and ses.solve([1]).sat
 
 
 def test_core_subset_and_sound(mhs_dl, mhs_instance):
